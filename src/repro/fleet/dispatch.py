@@ -273,13 +273,8 @@ class ForecastDispatch(DispatchPolicy):
         #: Unexecuted plan tails carried across day boundaries: when
         #: ``refresh_h`` spans multiple days, a plan's hours beyond midnight
         #: wait here and execute before the next forecast refresh — planning
-        #: cadence follows ``refresh_h``, not the simulation's day batching.
+        #: cadence follows ``refresh_h``, not the replay's day-by-day stepping.
         self._pending: Dict[int, np.ndarray] = {}
-        #: Fleet-global index of this policy's first site.  Sharded dispatch
-        #: replay hands each worker a contiguous site slice; forecast windows
-        #: stay keyed on the global site index so a noisy model draws the
-        #: same noise under any shard layout.
-        self.site_offset = 0
         #: Recorded day-start device counts (:meth:`set_pack_counts`), or
         #: ``None`` for live cohort reads.
         self._pack_counts: Optional[np.ndarray] = None
@@ -391,7 +386,7 @@ class ForecastDispatch(DispatchPolicy):
                 site.trace,
                 day_start_s + covered * units.SECONDS_PER_HOUR,
                 self.horizon_h,
-                site_index=self.site_offset + site_index,
+                site_index=site_index,
             )
             if window is None:
                 if covered == 0:

@@ -1,4 +1,4 @@
-"""Deferred dispatch replay: vectorized day-blocks, optionally site-sharded.
+"""Deferred dispatch replay: the whole run's battery ledger in one pass.
 
 The fleet loop's dispatch phase is the one hot phase that is *not* coupled
 to population churn: allocation and churn must advance day by day (capacity
@@ -11,34 +11,19 @@ the whole dispatch timeline afterwards through
 :meth:`~repro.fleet.dispatch.EnergyLedger.step_block` — one vectorized pass
 per run for stateless policies, one per day for forecast policies that plan
 against live SoC.
-
-Because ledger physics are elementwise per pack and forecast windows are
-keyed on the fleet-global site index, the replay also *shards*: independent
-sites partition into contiguous ranges, each range replays in its own
-forked worker process, and the parent reassembles the column blocks in
-segment order.  Every full-width reduction (per-site sums, clip
-accounting, counters) happens on the assembled matrices in the parent, so
-any shard count is bitwise-identical to the serial replay — the same
-spec-hash + child-manifest machinery ``sweep --jobs N`` proved out, turned
-inward on a single run.  Workers report spans only (no counters), so
-folding their manifests via ``add_child`` never double-counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.fleet.dispatch import DISPATCH_DISCHARGE, DispatchPolicy
 from repro.fleet.sites import FleetSite
-from repro.telemetry import Telemetry, build_manifest, ensure_telemetry
-
-#: Inputs inherited by forked shard workers (copy-on-write, never pickled).
-_SHARD_CONTEXT: Optional[Dict[str, object]] = None
 
 
-def replay_dispatch(
+def execute_dispatch(
     sites: Sequence[FleetSite],
     dispatch: DispatchPolicy,
     intensity: np.ndarray,
@@ -46,25 +31,22 @@ def replay_dispatch(
     idle_fraction: np.ndarray,
     counts_day: np.ndarray,
     step_s: float,
-    site_offset: int = 0,
 ):
-    """Replay the full dispatch timeline for one contiguous site range.
+    """Replay the full dispatch timeline for every pack of the fleet.
 
-    All matrices are ``(n_steps, n_packs)`` for this range's packs;
-    ``counts_day`` is the ``(n_days, n_packs)`` day-start device counts the
-    serial pass recorded (the ledger's capabilities are re-derived from
-    them, bitwise-identical to the live reads the per-day loop performed).
-    Returns ``(battery_j, charge_j, soc, shortfall_j, fallback_pack_days)``
-    — ``shortfall_j`` is the per-``(hour, pack)`` discharge energy the
-    ledger could not deliver against the *policy's* (pre-override) modes,
-    ready for the parent's clip accounting.
+    All matrices are ``(n_steps, n_packs)``; ``counts_day`` is the
+    ``(n_days, n_packs)`` day-start device counts the serial pass recorded
+    (the ledger's capabilities are re-derived from them, bitwise-identical
+    to the live reads a per-day loop would perform).  Returns
+    ``(battery_j, charge_j, soc, shortfall_j)`` — ``shortfall_j`` is the
+    per-``(hour, pack)`` discharge energy the ledger could not deliver
+    against the *policy's* (pre-override) modes, ready for the caller's
+    clip accounting.
     """
     n_steps, n_packs = intensity.shape
     n_days = counts_day.shape[0]
     hours_per_day = n_steps // n_days
     ledger = dispatch.make_ledger(sites)
-    if hasattr(dispatch, "site_offset"):
-        dispatch.site_offset = site_offset
     modes = np.empty((n_steps, n_packs), dtype=np.int8)
     battery_j = np.empty((n_steps, n_packs))
     charge_j = np.empty((n_steps, n_packs))
@@ -114,163 +96,4 @@ def replay_dispatch(
         np.maximum(device_j - battery_j, 0.0),
         0.0,
     )
-    return (
-        battery_j,
-        charge_j,
-        soc,
-        shortfall_j,
-        getattr(dispatch, "fallback_pack_days", 0),
-    )
-
-
-def partition_sites(
-    n_sites: int, site_starts: np.ndarray, n_packs: int, shards: int
-) -> List[Tuple[int, int, int, int, int]]:
-    """Contiguous near-even site ranges: ``(shard, site_lo, site_hi, pack_lo, pack_hi)``.
-
-    Never more shards than sites; earlier shards take the remainder so the
-    partition is deterministic in the inputs alone.
-    """
-    count = max(1, min(int(shards), n_sites))
-    base, rem = divmod(n_sites, count)
-    ranges: List[Tuple[int, int, int, int, int]] = []
-    lo = 0
-    for index in range(count):
-        hi = lo + base + (1 if index < rem else 0)
-        pack_lo = int(site_starts[lo])
-        pack_hi = int(site_starts[hi]) if hi < n_sites else n_packs
-        ranges.append((index, lo, hi, pack_lo, pack_hi))
-        lo = hi
-    return ranges
-
-
-def _run_shard(context: Dict[str, object], shard: Tuple[int, int, int, int, int]):
-    """Replay one site range; returns ``(shard_index, replay_outputs, manifest)``."""
-    shard_index, site_lo, site_hi, pack_lo, pack_hi = shard
-    cols = slice(pack_lo, pack_hi)
-    sites = list(context["sites"])[site_lo:site_hi]
-    telemetry = Telemetry() if context["telemetry_enabled"] else None
-    tele = ensure_telemetry(telemetry)
-    n_days = context["counts_day"].shape[0]
-    with tele.span("dispatch_day", calls=n_days):
-        outputs = replay_dispatch(
-            sites,
-            context["dispatch"],
-            context["intensity"][:, cols],
-            context["device_j"][:, cols],
-            context["idle_fraction"][:, cols],
-            context["counts_day"][:, cols],
-            context["step_s"],
-            site_offset=site_lo,
-        )
-    manifest = None
-    if telemetry is not None:
-        manifest = build_manifest(
-            telemetry,
-            name=f"dispatch-shard-{shard_index}",
-            extra={
-                "sites": [site.name for site in sites],
-                "packs": pack_hi - pack_lo,
-            },
-        )
-    return shard_index, outputs, manifest
-
-
-def _shard_worker(shard: Tuple[int, int, int, int, int]):
-    """Forked-pool entry point: reads the copy-on-write context global."""
-    return _run_shard(_SHARD_CONTEXT, shard)
-
-
-def _fork_pool(processes: int):
-    """A fork-based pool, or ``None`` when fork is unavailable."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork").Pool(processes=processes)
-    except (ValueError, OSError):  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-def execute_dispatch(
-    sites: Sequence[FleetSite],
-    dispatch: DispatchPolicy,
-    intensity: np.ndarray,
-    device_j: np.ndarray,
-    idle_fraction: np.ndarray,
-    counts_day: np.ndarray,
-    step_s: float,
-    site_starts: np.ndarray,
-    shards: int = 1,
-    telemetry_enabled: bool = False,
-):
-    """Run the dispatch replay, sharded across sites when asked.
-
-    Returns ``(battery_j, charge_j, soc, shortfall_j, fallback_pack_days,
-    children)`` with full-width ``(n_steps, n_packs)`` matrices reassembled
-    in segment order and one child manifest per shard (empty when serial or
-    un-instrumented).  ``dispatch.fallback_pack_days`` (when the policy has
-    one) is set to the fleet-wide total so downstream counter reads see the
-    same number at any shard count.
-    """
-    n_steps, n_packs = intensity.shape
-    ranges = partition_sites(len(sites), site_starts, n_packs, shards)
-    if len(ranges) == 1:
-        battery_j, charge_j, soc, shortfall_j, fallback = replay_dispatch(
-            sites,
-            dispatch,
-            intensity,
-            device_j,
-            idle_fraction,
-            counts_day,
-            step_s,
-            site_offset=0,
-        )
-        return battery_j, charge_j, soc, shortfall_j, fallback, []
-
-    context: Dict[str, object] = {
-        "sites": list(sites),
-        "dispatch": dispatch,
-        "intensity": intensity,
-        "device_j": device_j,
-        "idle_fraction": idle_fraction,
-        "counts_day": counts_day,
-        "step_s": step_s,
-        "telemetry_enabled": telemetry_enabled,
-    }
-    global _SHARD_CONTEXT
-    _SHARD_CONTEXT = context
-    try:
-        pool = _fork_pool(len(ranges))
-        if pool is None:
-            # No fork on this platform: run the same shard decomposition
-            # in-process — bitwise-identical, just not parallel.
-            results = [_run_shard(context, shard) for shard in ranges]
-        else:
-            with pool:
-                results = pool.map(_shard_worker, ranges)
-    finally:
-        _SHARD_CONTEXT = None
-
-    battery_j = np.empty((n_steps, n_packs))
-    charge_j = np.empty((n_steps, n_packs))
-    soc = np.empty((n_steps, n_packs))
-    shortfall_j = np.empty((n_steps, n_packs))
-    fallback_total = 0
-    children: List[dict] = []
-    by_index = {result[0]: result for result in results}
-    for shard in ranges:
-        shard_index, _, _, pack_lo, pack_hi = shard
-        _, outputs, manifest = by_index[shard_index]
-        cols = slice(pack_lo, pack_hi)
-        battery_j[:, cols] = outputs[0]
-        charge_j[:, cols] = outputs[1]
-        soc[:, cols] = outputs[2]
-        shortfall_j[:, cols] = outputs[3]
-        fallback_total += outputs[4]
-        if manifest is not None:
-            children.append(manifest)
-    if hasattr(dispatch, "fallback_pack_days"):
-        # The parent policy object never stepped a ledger in the sharded
-        # path; surface the fleet-wide total where counter reads expect it.
-        dispatch.fallback_pack_days = fallback_total
-    return battery_j, charge_j, soc, shortfall_j, fallback_total, children
+    return battery_j, charge_j, soc, shortfall_j

@@ -294,16 +294,12 @@ class FleetSimulation:
     capacity follows churn and churn follows realised utilisation, so
     allocation and population stepping must alternate day by day — but the
     purely time-indexed inputs (demand series, grid intensities, marginal
-    CCI) are hoisted and precomputed ``block_days`` days at a time
-    (bitwise-identical: they are elementwise functions of exactly
-    representable hour indices).  Pass B replays the entire dispatch
-    timeline afterwards from what Pass A recorded, through the ledger's
-    vectorized :meth:`~repro.fleet.dispatch.EnergyLedger.step_block`,
-    optionally sharded across ``shards`` worker processes by contiguous
-    site ranges (see :mod:`repro.fleet.execution`).  ``block_days`` and
-    ``shards`` are pure performance knobs: every setting produces
-    bitwise-identical reports, counters, and RNG streams (locked by
-    ``tests/fleet/test_execution_identity.py``).
+    CCI) are precomputed once for the whole run (bitwise-identical to
+    per-day calls: they are elementwise functions of exactly representable
+    hour indices).  Pass B replays the entire dispatch timeline afterwards
+    from what Pass A recorded, through the ledger's vectorized
+    :meth:`~repro.fleet.dispatch.EnergyLedger.step_block` (see
+    :mod:`repro.fleet.execution`).
     """
 
     def __init__(
@@ -313,18 +309,10 @@ class FleetSimulation:
         demand: DiurnalDemand,
         dispatch: Optional[DispatchPolicy] = None,
         telemetry=None,
-        block_days: int = 1,
-        shards: int = 1,
         audit: bool = False,
     ) -> None:
         if not sites:
             raise ValueError("a fleet needs at least one site")
-        if block_days < 1:
-            raise ValueError(f"block_days must be >= 1, got {block_days}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.block_days = int(block_days)
-        self.shards = int(shards)
         #: Opt-in invariant audit: after Pass B, re-derive the conservation
         #: laws the report must obey (see
         #: :mod:`repro.telemetry.observatory.audit`).  The auditor only
@@ -400,67 +388,49 @@ class FleetSimulation:
         # Allocation and churn are irreducibly day-sequential (capacity for
         # day d+1 depends on churn at day d, churn depends on realised
         # utilisation), but the time-indexed inputs hoist: one precompute
-        # per block covers demand, intensity, and marginal CCI for every
-        # day in it (calls=0: setup time folds into the phase without
-        # inflating its invocation count).
-        for block_start in range(0, n_days, self.block_days):
-            block_stop = min(block_start + self.block_days, n_days)
-            with tele.span("allocate_day", calls=0):
-                block_demand, block_intensity, block_marginal = (
-                    self._precompute_block(
-                        block_start, block_stop, hours_per_day, step_s
-                    )
+        # covers demand, intensity, and marginal CCI for the whole run
+        # (calls=0: setup time folds into the phase without inflating its
+        # invocation count).
+        with tele.span("allocate_day", calls=0):
+            marginal_all = self._precompute(demand_all, intensity_packs, step_s)
+        for day in range(n_days):
+            rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
+            with tele.span("allocate_day"):
+                alloc = self._allocate_day(
+                    hours_per_day,
+                    step_s,
+                    demand_all[rows],
+                    intensity_packs[rows],
+                    marginal_all[rows],
                 )
-            block_rows = slice(
-                block_start * hours_per_day, block_stop * hours_per_day
-            )
-            demand_all[block_rows] = block_demand
-            intensity_packs[block_rows] = block_intensity
-            for day in range(block_start, block_stop):
-                offset = (day - block_start) * hours_per_day
-                local = slice(offset, offset + hours_per_day)
-                rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
-                with tele.span("allocate_day"):
-                    alloc = self._allocate_day(
-                        hours_per_day,
-                        step_s,
-                        block_demand[local],
-                        block_intensity[local],
-                        block_marginal[local],
-                    )
-                alloc_all[rows] = alloc
-                if tele.enabled:
-                    # "Segments touched": (hour, segment) cells the
-                    # waterfill actually routed load through this day.
-                    tele.count(
-                        "routing.waterfill_segments_touched",
-                        int(np.count_nonzero(alloc)),
-                    )
-                # Day-start counts — what the legacy per-day loop's live
-                # capability reads saw — recorded before churn moves them.
-                counts_day[day] = [
-                    entry.cohort.active_count for _, entry in self.segments
-                ]
+            alloc_all[rows] = alloc
+            if tele.enabled:
+                # "Segments touched": (hour, segment) cells the waterfill
+                # actually routed load through this day.
+                tele.count(
+                    "routing.waterfill_segments_touched", int(np.count_nonzero(alloc))
+                )
+            # Day-start counts — what the legacy per-day loop's live capability
+            # reads saw — recorded before churn moves them.
+            counts_day[day] = [entry.cohort.active_count for _, entry in self.segments]
 
-                # Daily population step at the realised utilisation; the
-                # same matrix feeds dispatch idle headroom in Pass B.
-                with tele.span("step_population"):
-                    utilization = self._physical_utilization(alloc)
-                    day_step = self._step_population(utilization)
-                utilization_all[rows] = utilization
-                cohort_active[day] = day_step["active"]
-                cohort_replacement_g[day] = day_step["replacement_carbon_g"]
-                cohort_swaps[day] = day_step["battery_swaps"]
-                cohort_failures[day] = day_step["failures"]
-                cohort_deployed[day] = day_step["deployed"]
-                cohort_retirements[day] = day_step["retirements"]
-                active[day] = self._per_site(day_step["active"])
-                replacement_g[day] = self._per_site(
-                    day_step["replacement_carbon_g"]
-                )
-                battery_swaps[day] = self._per_site(day_step["battery_swaps"])
-                failures[day] = self._per_site(day_step["failures"])
-                deployed[day] = self._per_site(day_step["deployed"])
+            # Daily population step at the realised utilisation; the same
+            # matrix feeds dispatch idle headroom in Pass B.
+            with tele.span("step_population"):
+                utilization = self._physical_utilization(alloc)
+                day_step = self._step_population(utilization)
+            utilization_all[rows] = utilization
+            cohort_active[day] = day_step["active"]
+            cohort_replacement_g[day] = day_step["replacement_carbon_g"]
+            cohort_swaps[day] = day_step["battery_swaps"]
+            cohort_failures[day] = day_step["failures"]
+            cohort_deployed[day] = day_step["deployed"]
+            cohort_retirements[day] = day_step["retirements"]
+            active[day] = self._per_site(day_step["active"])
+            replacement_g[day] = self._per_site(day_step["replacement_carbon_g"])
+            battery_swaps[day] = self._per_site(day_step["battery_swaps"])
+            failures[day] = self._per_site(day_step["failures"])
+            deployed[day] = self._per_site(day_step["deployed"])
 
         if tele.enabled:
             # Which churn engine stepped this run, and how many distinct
@@ -524,8 +494,6 @@ class FleetSimulation:
                     charge_j,
                     pack_soc,
                     shortfall_j,
-                    _,
-                    shard_manifests,
                 ) = execute_dispatch(
                     self.sites,
                     self.dispatch,
@@ -534,12 +502,7 @@ class FleetSimulation:
                     idle_fraction,
                     counts_day,
                     step_s,
-                    self._site_starts,
-                    shards=self.shards,
-                    telemetry_enabled=tele.enabled,
                 )
-            for manifest in shard_manifests:
-                tele.add_child(manifest)
             cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
             cohort_charge_kwh = charge_j / units.JOULES_PER_KWH
             cohort_soc = pack_soc
@@ -664,25 +627,18 @@ class FleetSimulation:
 
     # -- per-day phases ----------------------------------------------------
 
-    def _precompute_block(
-        self, start_day: int, stop_day: int, hours_per_day: int, step_s: float
-    ):
-        """Hoisted time-indexed inputs for days ``[start_day, stop_day)``.
+    def _precompute(self, demand: np.ndarray, intensity: np.ndarray, step_s: float):
+        """Fill the whole run's demand and per-pack intensity; return marginal CCI.
 
-        Demand, per-pack intensity, and marginal CCI depend only on the hour
-        index — never on live population state — so one call covers a whole
-        block.  Hour timestamps and start hours are exactly representable
-        integers and every series is elementwise in them, so any block size
-        is bitwise-identical to the historical per-day calls.
+        All three depend only on the hour index — never on live population
+        state — so one call covers the run.  Hour timestamps are exactly
+        representable integers and every series is elementwise in them, so
+        this is bitwise-identical to per-day calls.
         """
-        n_cohorts = len(self.segments)
-        n_hours = (stop_day - start_day) * hours_per_day
-        times_s = (
-            start_day * units.SECONDS_PER_DAY + np.arange(n_hours) * step_s
-        )
-        demand_rps = self.demand.series(n_hours, start_hour=start_day * 24.0)
-        intensity = np.empty((n_hours, n_cohorts))
-        marginal = np.empty((n_hours, n_cohorts))
+        n_hours = demand.shape[0]
+        times_s = np.arange(n_hours) * step_s
+        demand[:] = self.demand.series(n_hours)
+        marginal = np.empty_like(intensity)
         site_intensity: Dict[int, np.ndarray] = {}
         for j, (site, entry) in enumerate(self.segments):
             site_index = int(self._segment_site[j])
@@ -690,7 +646,7 @@ class FleetSimulation:
                 site_intensity[site_index] = site.intensities_at(times_s)
             intensity[:, j] = site_intensity[site_index]
             marginal[:, j] = entry.marginal_carbon_g_for_intensity(intensity[:, j])
-        return demand_rps, intensity, marginal
+        return marginal
 
     def _allocate_day(
         self,
@@ -704,7 +660,7 @@ class FleetSimulation:
 
         Only the capacity matrix is computed here — it reads the *live*
         (churn-following) cohort populations, which is exactly why this
-        phase cannot hoist with the block precompute that feeds it.
+        phase cannot hoist with the whole-run precompute that feeds it.
         """
         n_cohorts = len(self.segments)
         capacity = np.empty((hours_per_day, n_cohorts))

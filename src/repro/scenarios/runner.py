@@ -464,8 +464,6 @@ class ScenarioRunner:
                 self.build_demand(),
                 dispatch=self.build_dispatch(),
                 telemetry=tele,
-                block_days=spec.execution.block_days,
-                shards=spec.execution.shards,
                 audit=spec.execution.audit,
             )
             with tele.span("main_run"):
@@ -522,8 +520,6 @@ class ScenarioRunner:
                     policy,
                     self.build_demand(),
                     dispatch=self._forecast_dispatch(PerfectForecast()),
-                    block_days=spec.execution.block_days,
-                    shards=spec.execution.shards,
                 ).run(spec.duration_days)
             hindsight_avoided = hindsight.carbon_avoided_g()
         return dataclasses.replace(report, hindsight_avoided_g=hindsight_avoided)

@@ -154,7 +154,7 @@ class ChurnSpec:
     per-device reference) or ``"bucket"`` (deploy-day cohort buckets with
     one binomial draw per bucket — distributionally equivalent, O(days)
     instead of O(devices) per step).  The choice changes the RNG stream,
-    so unlike the :class:`ExecutionSpec` knobs it is part of the spec hash.
+    so unlike :class:`ExecutionSpec` it is part of the spec hash.
     """
 
     swap_batteries: bool = ReplacementPolicy.swap_batteries
@@ -422,28 +422,17 @@ class EconomicsSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How (not what) to simulate: batching, sharding, and audit knobs.
+    """How (not what) to simulate: the observation-only audit switch.
 
-    Pure performance/observation knobs for
-    :class:`~repro.fleet.scheduler.FleetSimulation` — ``block_days`` sizes
-    the vectorized day-batches the fleet loop precomputes at once,
-    ``shards`` fans the deferred dispatch replay out across a process
-    pool, and ``audit`` turns on the post-run conservation-invariant
-    checks of :mod:`repro.telemetry.observatory.audit`.  Every setting is
-    bitwise-identical to every other (locked by tests), which is why
-    :meth:`ScenarioSpec.sha256` excludes this block: the same experiment
-    run with different execution knobs keys the same store entry.
+    ``audit`` turns on the post-run conservation-invariant checks of
+    :mod:`repro.telemetry.observatory.audit` in
+    :class:`~repro.fleet.scheduler.FleetSimulation`.  The auditor only reads
+    finished matrices, so results are bitwise-identical either way, which
+    is why :meth:`ScenarioSpec.sha256` excludes this block: the same
+    experiment run with and without the audit keys the same store entry.
     """
 
-    block_days: int = 1
-    shards: int = 1
     audit: bool = False
-
-    def __post_init__(self) -> None:
-        if self.block_days < 1:
-            raise ScenarioValidationError("block_days must be >= 1")
-        if self.shards < 1:
-            raise ScenarioValidationError("shards must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +502,9 @@ class ScenarioSpec:
         keys the same store entry as its JSON round-trip.  This is the key
         for sweep-cell deduplication and the durable experiment store.
 
-        The ``execution`` block is excluded: batching/sharding knobs change
-        how a run executes, never what it computes (bitwise, locked by
-        tests), so the same experiment hashes identically at any block size
-        or shard count and store entries stay shareable across them.
+        The ``execution`` block is excluded: it changes how a run is
+        observed, never what it computes (bitwise, locked by tests), so an
+        audited run keys the same store entry as a plain one.
         """
         payload = self.to_dict()
         payload.pop("execution", None)

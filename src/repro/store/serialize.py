@@ -39,6 +39,12 @@ _ARRAY_KEY = "__ndarray__"
 #: FleetReport fields the constructor expects as tuples, not lists.
 _TUPLE_FIELDS = {"site_names", "cohort_labels"}
 
+#: ``execution`` keys of stored specs whose knobs no longer exist.  Entries
+#: written while ``execution.block_days`` / ``execution.shards`` were spec
+#: fields still carry them; ``execution`` is outside the spec hash, so those
+#: entries keep their keys and stay loadable once the keys are dropped.
+_RETIRED_EXECUTION_KEYS = ("block_days", "shards")
+
 
 class SerializationError(ValueError):
     """A payload does not decode to the result it claims to be."""
@@ -154,7 +160,14 @@ def result_from_dict(payload: Dict[str, Any]):
             f"result schema must be {RESULT_SCHEMA!r}, got {schema!r}"
         )
     try:
-        spec = ScenarioSpec.from_dict(payload["spec"])
+        spec_data = dict(payload["spec"])
+        if isinstance(spec_data.get("execution"), dict):
+            spec_data["execution"] = {
+                key: value
+                for key, value in spec_data["execution"].items()
+                if key not in _RETIRED_EXECUTION_KEYS
+            }
+        spec = ScenarioSpec.from_dict(spec_data)
         report = report_from_dict(payload["report"])
         site_costs = {
             name: OwnershipCost(**cost)

@@ -42,11 +42,11 @@ class Span:
     complete before their parents); ``start_s`` is relative to the owning
     :class:`Telemetry` object's creation, so spans from one run are
     mutually comparable without wall-clock epochs.  ``calls`` is the number
-    of logical invocations this span stands for: a batched loop opens *one*
-    span per block and scales ``calls`` by the days it covered, so per-phase
-    call totals stay comparable across block sizes while span overhead is
-    amortised (``calls=0`` folds pure setup time into a phase without
-    inflating its call count).
+    of logical invocations this span stands for: a whole-run pass opens
+    *one* span and sets ``calls`` to the days it covered, so per-phase call
+    totals stay one per simulated day while span overhead is amortised
+    (``calls=0`` folds pure setup time into a phase without inflating its
+    call count).
     """
 
     path: str
@@ -132,8 +132,8 @@ class Telemetry:
         """A context manager timing one named, possibly nested, phase.
 
         ``calls`` is the logical invocation count the span stands for — a
-        batched loop records one span per block with ``calls`` scaled by the
-        days covered (``calls=0`` contributes time but no invocations).
+        whole-run pass records one span with ``calls`` set to the days it
+        covered (``calls=0`` contributes time but no invocations).
         """
         if not name or "/" in name:
             raise ValueError(

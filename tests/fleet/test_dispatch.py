@@ -1,7 +1,11 @@
 """Energy-dispatch core: ledger physics, conservation, and determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.fleet import (
     CarbonBufferDispatch,
@@ -18,7 +22,7 @@ from repro.fleet.dispatch import (
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
 )
-from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
+from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, mixed_phone_site
 
 N_DEVICES = 20
 N_DAYS = 7
@@ -242,6 +246,134 @@ class TestEnergyLedger:
             CarbonBufferDispatch(percentile_margin=-1.0)
         with pytest.raises(ValueError):
             CarbonBufferDispatch(fixed_percentile=101.0)
+
+
+# ---------------------------------------------------------------------------
+# step_block == a fold of step (property)
+# ---------------------------------------------------------------------------
+
+#: Packs of the property-test ledger: two battery-backed device types and
+#: one battery-less one.
+N_PACKS = 3
+STEP_S = 3600.0
+
+
+@pytest.fixture(scope="module")
+def mixed_site():
+    from repro.devices.catalog import NEXUS_4, PIXEL_3A
+
+    no_battery = dataclasses.replace(
+        PIXEL_3A, name="Pixel 3a (no battery)", battery=None
+    )
+    return mixed_phone_site(
+        "mixed",
+        "caiso-like",
+        [(PIXEL_3A, 4), (NEXUS_4, 3), (no_battery, 2)],
+        n_trace_days=1,
+    )
+
+
+@st.composite
+def ledger_blocks(draw):
+    """One ``step_block`` input: per-row capabilities, modes, entry SoC.
+
+    A *gentle* column moves at most a few joules per hour against a pack of
+    at least 10 kJ from a mid-range SoC, so no bound can bind and
+    ``step_block`` keeps it on the cumsum fast path.  Every other column
+    draws energies up to thousands of times its capacity, zero-capacity
+    rows and entry SoCs below the floor, which sends it to the sequential
+    fallback.
+    """
+    n_rows = draw(st.integers(min_value=1, max_value=48))
+    shape = (n_rows, N_PACKS)
+
+    def unit(size=shape):
+        return draw(arrays(np.float64, size, elements=st.floats(0.0, 1.0)))
+
+    gentle = np.array(draw(st.lists(st.booleans(), min_size=N_PACKS, max_size=N_PACKS)))
+    modes = draw(
+        arrays(
+            np.int8,
+            shape,
+            elements=st.sampled_from(
+                [DISPATCH_CHARGE, DISPATCH_HOLD, DISPATCH_DISCHARGE]
+            ),
+        )
+    )
+    capacity_j = 1e4 + unit() * 1e7
+    capacity_j[draw(arrays(np.bool_, shape)) & ~gentle] = 0.0
+    charge_rate_w = np.where(gentle, 1e-3, 5e3) * unit()
+    device_j = np.where(gentle, 1.0, 2e7) * unit()
+    idle_fraction = -0.1 + 1.2 * unit()
+    # Violent columns enter anywhere in [0, 1], often just under the floor.
+    entry = np.array(
+        draw(
+            st.lists(
+                st.floats(0.0, 1.0) | st.floats(0.2, 0.25, exclude_max=True),
+                min_size=N_PACKS,
+                max_size=N_PACKS,
+            )
+        )
+    )
+    soc = np.where(gentle, 0.4 + 0.2 * entry, entry)
+    return modes, device_j, capacity_j, charge_rate_w, idle_fraction, soc
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+class TestStepBlockMatchesStepFold:
+    """``EnergyLedger.step_block`` is bitwise a left fold of ``step``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ledger_blocks())
+    @example(  # all three columns on the fast path
+        (
+            np.full((24, N_PACKS), DISPATCH_DISCHARGE, dtype=np.int8),
+            np.full((24, N_PACKS), 0.5),
+            np.full((24, N_PACKS), 1e5),
+            np.full((24, N_PACKS), 1e-3),
+            np.full((24, N_PACKS), 0.5),
+            np.full(N_PACKS, 0.5),
+        )
+    )
+    @example(  # every column clips: floor, full pack, forced recharge
+        (
+            np.array(
+                [[DISPATCH_DISCHARGE] * N_PACKS, [DISPATCH_CHARGE] * N_PACKS] * 6,
+                dtype=np.int8,
+            ),
+            np.full((12, N_PACKS), 1e9),
+            np.full((12, N_PACKS), 1e5),
+            np.full((12, N_PACKS), 1e4),
+            np.full((12, N_PACKS), 1.1),
+            np.array([0.24, 0.99, 0.5]),
+        )
+    )
+    def test_step_block_equals_fold_of_step(self, mixed_site, block):
+        modes, device_j, capacity_j, charge_rate_w, idle_fraction, soc = block
+        blocked = EnergyLedger([mixed_site], min_state_of_charge=0.25)
+        folded = EnergyLedger([mixed_site], min_state_of_charge=0.25)
+        blocked.soc = soc.copy()
+        folded.soc = soc.copy()
+
+        battery_j, charge_j, soc_rows = blocked.step_block(
+            modes, device_j, STEP_S, capacity_j, charge_rate_w, idle_fraction
+        )
+        for row in range(modes.shape[0]):
+            row_battery, row_charge = folded.step(
+                modes[row],
+                device_j[row],
+                STEP_S,
+                capacity_j[row],
+                charge_rate_w[row],
+                idle_fraction[row],
+            )
+            assert _bits(battery_j[row]) == _bits(row_battery), f"battery row {row}"
+            assert _bits(charge_j[row]) == _bits(row_charge), f"charge row {row}"
+            assert _bits(soc_rows[row]) == _bits(folded.soc), f"soc row {row}"
+        assert _bits(blocked.soc) == _bits(folded.soc)
 
 
 # ---------------------------------------------------------------------------

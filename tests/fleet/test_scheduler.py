@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fleet.dispatch import CarbonBufferDispatch
 from repro.fleet.scheduler import (
     POLICIES,
     CapacityAwareMarginalCciRouting,
@@ -15,7 +16,12 @@ from repro.fleet.scheduler import (
     run_policy_comparison,
     simulate_latency_aware,
 )
-from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, two_site_asymmetric_fleet
+from repro.fleet.sites import (
+    DEFAULT_REQUESTS_PER_DEVICE_S,
+    mixed_phone_site,
+    phone_site,
+    two_site_asymmetric_fleet,
+)
 
 
 class TestDiurnalDemand:
@@ -232,3 +238,55 @@ class TestServiceDistributions:
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError, match="service distribution"):
             self._probe("pareto")
+
+
+class TestSiteSocVectorization:
+    """`_site_soc` (segment-wise reduceat) vs the per-site loop reference."""
+
+    @staticmethod
+    def _simulation():
+        from repro.devices.catalog import NEXUS_4, PIXEL_3A
+
+        sites = [
+            mixed_phone_site(
+                "mixed",
+                "caiso-like",
+                [(PIXEL_3A, 20), (NEXUS_4, 12, 8.0)],
+                n_trace_days=2,
+            ),
+            phone_site("solo", "hydro-heavy", 15, seed=1, n_trace_days=2),
+        ]
+        return FleetSimulation(
+            sites,
+            CapacityAwareMarginalCciRouting(),
+            DiurnalDemand(mean_rps=300.0),
+            dispatch=CarbonBufferDispatch(),
+        )
+
+    def test_matches_loop_reference_on_mixed_and_single_pack_sites(self):
+        simulation = self._simulation()
+        rng = np.random.default_rng(7)
+        pack_soc = rng.uniform(0.25, 1.0, size=(48, 3))
+        capacity_rows = rng.uniform(1e6, 5e7, size=(48, 3))
+        vectorized = simulation._site_soc(pack_soc, capacity_rows)
+        loop = simulation._site_soc_loop(pack_soc, capacity_rows)
+        assert np.array_equal(vectorized, loop)
+
+    def test_single_pack_site_passes_through_exactly(self):
+        simulation = self._simulation()
+        rng = np.random.default_rng(11)
+        pack_soc = rng.uniform(0.25, 1.0, size=(24, 3))
+        capacity_rows = rng.uniform(1e6, 5e7, size=(24, 3))
+        out = simulation._site_soc(pack_soc, capacity_rows)
+        assert np.array_equal(out[:, 1], pack_soc[:, 2])
+
+    def test_zero_capacity_rows_fall_back_to_plain_mean(self):
+        simulation = self._simulation()
+        rng = np.random.default_rng(13)
+        pack_soc = rng.uniform(0.25, 1.0, size=(24, 3))
+        capacity_rows = np.zeros((24, 3))
+        vectorized = simulation._site_soc(pack_soc, capacity_rows)
+        loop = simulation._site_soc_loop(pack_soc, capacity_rows)
+        assert np.array_equal(vectorized, loop)
+        expected = (pack_soc[:, 0] + pack_soc[:, 1]) / 2
+        assert np.array_equal(vectorized[:, 0], expected)

@@ -353,12 +353,12 @@ class TestChurnSamplerField:
             ChurnSpec(sampler="per-atom")
 
     def test_sampler_is_part_of_the_spec_hash(self):
-        # Unlike the ExecutionSpec knobs, the churn engine changes the RNG
-        # stream, so two specs differing only in sampler must hash apart.
+        # Unlike ExecutionSpec, the churn engine changes the RNG stream, so
+        # two specs differing only in sampler must hash apart.
         spec = get_scenario("carbon-buffer")
         bucket = spec.with_overrides({"churn.sampler": "bucket"})
         assert bucket.sha256() != spec.sha256()
-        execution_only = spec.with_overrides({"execution.block_days": 366})
+        execution_only = spec.with_overrides({"execution.audit": True})
         assert execution_only.sha256() == spec.sha256()
 
     def test_top_level_churn_override_broadcasts_to_every_site(self):

@@ -281,8 +281,6 @@ def _bench_payload(wall_s=1.0, case="greedy-year"):
                 "case": case,
                 "devices": 10000,
                 "n_days": 366,
-                "block_days": 1,
-                "shards": 1,
                 "wall_s": wall_s,
                 "device_days_per_s": 10000 * 366 / wall_s,
             }
@@ -343,9 +341,11 @@ def test_check_bench_flags_regression_and_passes_baseline(tmp_path):
 def test_committed_history_passes_the_gate():
     """The committed snapshot must pass against the committed history.
 
-    Read the snapshot as committed (``git show``) when possible: running
-    the benchmark suite rewrites the working-tree copy with this machine's
-    timings, and this test asserts repo consistency, not machine speed.
+    Read the snapshot from the git index (``git show :path``) when
+    possible: running the benchmark suite rewrites the working-tree copy
+    with this machine's timings, and this test asserts repo consistency,
+    not machine speed. The index is the snapshot about to be committed; in
+    a clean checkout it equals ``HEAD``.
     """
     import subprocess
 
@@ -354,7 +354,7 @@ def test_committed_history_passes_the_gate():
     payload = None
     try:
         out = subprocess.run(
-            ["git", "show", "HEAD:BENCH_fleet_scaling.json"],
+            ["git", "show", ":BENCH_fleet_scaling.json"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,

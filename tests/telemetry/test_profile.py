@@ -1,7 +1,7 @@
 """Edge cases for :func:`repro.telemetry.render_profile`.
 
 The profile renderer consumes manifests from many sources — live runs,
-stored entries, shard children shipped home from worker processes — so it
+stored entries, sweep-cell children shipped home from worker processes — so it
 must degrade gracefully when optional pieces are missing: zero-duration
 spans (no division), no spans at all, no RSS figure (platforms without
 ``resource``), no ``fleet.n_devices`` gauge (non-fleet runs), and children
@@ -71,18 +71,18 @@ def test_absent_fleet_gauge_blanks_throughput_column():
 
 def test_max_shard_rss_is_surfaced_across_children():
     children = [
-        _manifest(name="shard-0", peak_rss_bytes=100 * 2**20),
-        _manifest(name="shard-1", peak_rss_bytes=160 * 2**20),
+        _manifest(name="cell-0", peak_rss_bytes=100 * 2**20),
+        _manifest(name="cell-1", peak_rss_bytes=160 * 2**20),
     ]
     text = render_profile(_manifest(children=children))
-    assert "peak RSS (max shard): 160.0 MiB" in text
-    assert "shard-1: 0.500 s, 2 phases, peak RSS 160.0 MiB" in text
+    assert "peak RSS (max child): 160.0 MiB" in text
+    assert "cell-1: 0.500 s, 2 phases, peak RSS 160.0 MiB" in text
 
 
 def test_children_without_rss_skip_the_shard_line():
     children = [_manifest(name="cell-0", peak_rss_bytes=None)]
     text = render_profile(_manifest(children=children))
-    assert "peak RSS (max shard)" not in text
+    assert "peak RSS (max child)" not in text
     assert "cell-0: 0.500 s, 2 phases" in text
     assert "cell-0: 0.500 s, 2 phases, peak RSS" not in text
 
@@ -91,16 +91,16 @@ def test_live_manifest_includes_shard_rss(tmp_path):
     """An end-to-end manifest with a child carries both RSS figures."""
     parent = Telemetry()
     child = Telemetry()
-    with child.span("shard"):
+    with child.span("cell"):
         pass
-    child_manifest = build_manifest(child, name="shard-0")
+    child_manifest = build_manifest(child, name="cell-0")
     with parent.span("scenario"):
         pass
     parent.add_child(child_manifest)
-    manifest = build_manifest(parent, name="sharded-run")
+    manifest = build_manifest(parent, name="sweep-run")
     if manifest["peak_rss_bytes"] is None:
         return  # platform without resource module: nothing to assert
     assert child_manifest["peak_rss_bytes"] is not None
     text = render_profile(manifest)
     assert "peak RSS:" in text
-    assert "peak RSS (max shard):" in text
+    assert "peak RSS (max child):" in text

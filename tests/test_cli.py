@@ -370,6 +370,52 @@ def test_store_report_missing_cells_fails_loudly(capsys, tmp_path):
     assert "store error" in out and "--store" in out
 
 
+def test_store_keeps_entries_written_with_retired_execution_knobs(capsys, tmp_path):
+    """Entries whose stored spec carries the removed ``execution.block_days``
+    and ``execution.shards`` knobs still load, report and survive gc."""
+    import json
+
+    from repro.store import ExperimentStore
+
+    store_dir = str(tmp_path / "es")
+    report_args = [
+        "store",
+        "report",
+        "scenario",
+        "carbon-buffer",
+        "--set",
+        "duration_days=2",
+        "--store",
+        store_dir,
+    ]
+    run_args = ["run", "scenario", "carbon-buffer", "--set", "duration_days=2"]
+    assert main(run_args + ["--store", store_dir]) == 0
+    capsys.readouterr()
+    store = ExperimentStore(store_dir)
+    (key,) = store.keys()
+    assert main(report_args) == 0
+    table = capsys.readouterr().out
+
+    path = store.path_for(key)
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["result"]["spec"]["execution"].update({"block_days": 366, "shards": 2})
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+    entry = store.get_entry(key)
+    assert entry.result.spec.sha256() == key
+    assert entry.result.spec.execution.audit is False
+    assert main(report_args) == 0
+    assert capsys.readouterr().out == table
+    assert store.gc() == []
+    assert store.keys() == [key]
+
+    # The knobs themselves are gone from the override surface.
+    assert main(run_args + ["--set", "execution.shards=2"]) == 2
+    assert "unknown override path 'execution.shards'" in capsys.readouterr().out
+
+
 def test_store_show_unknown_hash_errors(capsys, tmp_path):
     assert main(["store", "show", "abc123", "--store", str(tmp_path / "es")]) == 1
     assert "store error" in capsys.readouterr().out
@@ -414,14 +460,21 @@ def test_store_show_renders_profile_when_manifest_stored(capsys, tmp_path):
 
 
 def test_telemetry_trace_exports_one_track_per_shard(capsys, tmp_path):
+    """Each child manifest — one per cell of a two-cell sweep — is a track."""
     import json
 
-    jsonl = str(tmp_path / "sharded.jsonl")
+    jsonl = str(tmp_path / "sweep.jsonl")
     assert (
         main(
-            ["run", "scenario", "carbon-buffer"]
+            [
+                "sweep",
+                "scenario",
+                "carbon-buffer",
+                "--set",
+                "routing.policy=round-robin,greedy-lowest-intensity",
+            ]
             + FAST_SCENARIO_ARGS
-            + ["--set", "execution.shards=2", "--telemetry", jsonl]
+            + ["--telemetry", jsonl]
         )
         == 0
     )
@@ -433,7 +486,7 @@ def test_telemetry_trace_exports_one_track_per_shard(capsys, tmp_path):
         trace = json.load(handle)
     assert trace["displayTimeUnit"] == "ms"
     tracks = {(e["pid"], e["tid"]) for e in trace["traceEvents"]}
-    assert len(tracks) == 3  # main + 2 dispatch shards
+    assert len(tracks) == 3  # main + 2 sweep cells
     assert all(e["ph"] in ("X", "M") for e in trace["traceEvents"])
 
     # Default output path derives from the input stem.
@@ -441,7 +494,7 @@ def test_telemetry_trace_exports_one_track_per_shard(capsys, tmp_path):
     capsys.readouterr()
     import os
 
-    assert os.path.exists(str(tmp_path / "sharded.trace.json"))
+    assert os.path.exists(str(tmp_path / "sweep.trace.json"))
 
 
 def test_telemetry_trace_missing_and_bad_form(capsys, tmp_path):
