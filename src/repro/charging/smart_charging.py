@@ -15,7 +15,8 @@ run from its battery.  The paper's heuristic for the Californian grid:
 
 The heuristic itself is *trace-level*: it needs only yesterday's intensity
 samples, a battery spec, and an average draw.  :func:`charge_time_percentile`
-and :func:`threshold_from_intensities` expose it in that form so every
+and :func:`threshold_from_intensities` (or, for a whole run's days at once,
+:func:`daily_thresholds_from_intensities`) expose it in that form so every
 consumer — the per-device study here, the fleet's coupled energy-dispatch
 engine (:mod:`repro.fleet.dispatch`), and the scenario runner's headroom
 estimate — shares one decision path.  :class:`SmartChargingPolicy` wraps the
@@ -55,6 +56,41 @@ def charge_time_percentile(battery: BatterySpec, average_draw_w: float) -> float
     return 100.0 * fraction
 
 
+def _threshold_percentile(
+    battery: BatterySpec,
+    average_draw_w: float,
+    percentile_margin: float,
+    fixed_percentile: Optional[float],
+) -> float:
+    """The percentile the heuristic reads: P plus the margin, or a fixed one."""
+    if fixed_percentile is not None:
+        return fixed_percentile
+    return min(
+        100.0, charge_time_percentile(battery, average_draw_w) + percentile_margin
+    )
+
+
+def _finite_samples(intensities) -> np.ndarray:
+    """Previous-day intensity samples as floats; raises on empty or non-finite.
+
+    The last axis holds one day's samples, so an empty day is an error while
+    a stack of zero days (a run with no history yet) is not.
+    """
+    samples = np.asarray(intensities, dtype=float)
+    if samples.ndim and samples.shape[-1] == 0:
+        raise ValueError(
+            "intensities is empty: a day's threshold needs at least one "
+            "previous-day sample (pass None when there is no history yet)"
+        )
+    if not np.all(np.isfinite(samples)):
+        bad = samples[~np.isfinite(samples)]
+        raise ValueError(
+            f"intensities contains {bad.size} non-finite value(s) "
+            f"(first: {bad[0]!r}); carbon intensities must be finite"
+        )
+    return samples
+
+
 def threshold_from_intensities(
     intensities: Optional[Union[Sequence[float], np.ndarray]],
     battery: BatterySpec,
@@ -78,26 +114,34 @@ def threshold_from_intensities(
     """
     if intensities is None:
         return None
-    samples = np.asarray(intensities, dtype=float)
-    if samples.size == 0:
-        raise ValueError(
-            "intensities is empty: a day's threshold needs at least one "
-            "previous-day sample (pass None when there is no history yet)"
-        )
-    if not np.all(np.isfinite(samples)):
-        bad = samples[~np.isfinite(samples)]
-        raise ValueError(
-            f"intensities contains {bad.size} non-finite value(s) "
-            f"(first: {bad[0]!r}); carbon intensities must be finite"
-        )
-    if fixed_percentile is not None:
-        percentile = fixed_percentile
-    else:
-        percentile = min(
-            100.0,
-            charge_time_percentile(battery, average_draw_w) + percentile_margin,
-        )
+    samples = _finite_samples(intensities)
+    percentile = _threshold_percentile(
+        battery, average_draw_w, percentile_margin, fixed_percentile
+    )
     return float(np.percentile(samples, percentile))
+
+
+def daily_thresholds_from_intensities(
+    days: np.ndarray,
+    battery: BatterySpec,
+    average_draw_w: float,
+    percentile_margin: float = 5.0,
+    fixed_percentile: Optional[float] = None,
+) -> np.ndarray:
+    """:func:`threshold_from_intensities` for a whole stack of days at once.
+
+    ``days`` is a ``(D, S)`` array whose row ``d`` holds one day's samples;
+    returns the ``(D,)`` thresholds of the days that follow them.  One
+    ``np.percentile`` along the sample axis selects the same order
+    statistics and interpolates them elementwise, so every entry equals
+    the per-day call bit for bit.  ``D = 0`` yields an empty array; an empty
+    or non-finite day raises like the per-day call.
+    """
+    samples = _finite_samples(days)
+    percentile = _threshold_percentile(
+        battery, average_draw_w, percentile_margin, fixed_percentile
+    )
+    return np.percentile(samples, percentile, axis=1)
 
 
 @dataclass(frozen=True)

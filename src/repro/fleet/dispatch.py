@@ -21,8 +21,7 @@ threshold for each day is a percentile of the *previous* day's intensities,
 and hours at or below it are "clean" (charge) while hours above it are
 "dirty" (serve from battery).  The ledger enforces the physics the per-device
 charging simulator enforces — SoC floor and ceiling, rated charge power,
-never charging and discharging simultaneously — but vectorized across sites
-so the fleet's hot loop stays a handful of NumPy ops per hour.
+never charging and discharging simultaneously — per pack and hour.
 
 Battery-wear accounting: the cohort model already cycle-counts *every*
 device-joule through the pack (:meth:`~repro.fleet.population.DeviceCohort.step`
@@ -57,7 +56,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.charging.smart_charging import threshold_from_intensities
+from repro.charging.smart_charging import daily_thresholds_from_intensities
 from repro.fleet.sites import FleetSite, SiteCohort
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.forecast imports the
@@ -71,6 +70,9 @@ DISPATCH_HOLD = 0
 DISPATCH_CHARGE = 1
 DISPATCH_DISCHARGE = -1
 
+#: Rows :meth:`EnergyLedger.step_block` converts to Python floats at a time.
+LEDGER_CHUNK_ROWS = 512
+
 
 def site_packs(sites: Sequence[FleetSite]) -> List[Tuple[FleetSite, SiteCohort]]:
     """Every ``(site, cohort)`` battery-pack pair, in site-major order.
@@ -80,6 +82,25 @@ def site_packs(sites: Sequence[FleetSite]) -> List[Tuple[FleetSite, SiteCohort]]
     sites yields one pack per site in site order.
     """
     return [(site, entry) for site in sites for entry in site.cohorts]
+
+
+def pack_capabilities(
+    packs: Sequence[Tuple[FleetSite, SiteCohort]], counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Aggregate ``(capacity_j, charge_rate_w)`` of each pack at device counts.
+
+    ``counts`` is any integer array whose last axis runs over ``packs`` —
+    one day's ``(C,)`` counts or a whole run's ``(n_days, C)`` matrix.  Each
+    output is one broadcast multiply of the counts by the per-device value
+    (:meth:`~repro.fleet.sites.SiteCohort.battery_capacity_j_at` at one
+    device; zero without a battery): an integer count converts to float
+    exactly, so every entry equals the per-count ``*_at`` call bit for bit.
+    """
+    capacity_j = np.array([entry.battery_capacity_j_at(1) for _, entry in packs])
+    charge_rate_w = np.array(
+        [entry.battery_charge_rate_w_at(1) for _, entry in packs]
+    )
+    return counts * capacity_j, counts * charge_rate_w
 
 
 class DispatchPolicy(abc.ABC):
@@ -114,15 +135,17 @@ class DispatchPolicy(abc.ABC):
     @abc.abstractmethod
     def day_thresholds(
         self,
-        previous_intensity: Optional[np.ndarray],
+        previous_days: np.ndarray,
         sites: Sequence[FleetSite],
     ) -> np.ndarray:
-        """Per-pack charge thresholds (g/kWh) for the coming day.
+        """Per-pack charge thresholds (g/kWh) for the days after ``previous_days``.
 
         Packs are the ``(site, cohort)`` pairs of :func:`site_packs`.
-        ``previous_intensity`` is the previous day's ``(H, C)`` per-pack
-        intensity matrix (``None`` on the first day).  ``nan`` entries opt a
-        pack out of dispatch for the day.
+        ``previous_days`` is a ``(D, H, C)`` stack of per-pack intensity
+        matrices, one per previous day; row ``d`` of the ``(D, C)`` result is
+        the threshold for the day that follows ``previous_days[d]``.  A day
+        without history (a run's first) has no row: callers use ``nan``.
+        ``nan`` entries opt a pack out of dispatch for the day.
         """
 
     @abc.abstractmethod
@@ -140,8 +163,8 @@ class GridOnlyDispatch(DispatchPolicy):
     name = "grid-only"
     stateless_day_modes = True
 
-    def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
-        return np.full(len(site_packs(sites)), np.nan)
+    def day_thresholds(self, previous_days, sites) -> np.ndarray:
+        return np.full((len(previous_days), len(site_packs(sites))), np.nan)
 
     def day_modes(self, intensity, thresholds) -> np.ndarray:
         return np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
@@ -178,24 +201,22 @@ class CarbonBufferDispatch(DispatchPolicy):
         self.percentile_margin = percentile_margin
         self.fixed_percentile = fixed_percentile
 
-    def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
+    def day_thresholds(self, previous_days, sites) -> np.ndarray:
+        # One percentile per pack over every stacked day; battery-less packs
+        # stay nan (and their intensities unchecked, as they are never read).
         packs = site_packs(sites)
-        thresholds = np.full(len(packs), np.nan)
-        if previous_intensity is None:
-            return thresholds
-        for j, (site, entry) in enumerate(packs):
+        thresholds = np.full((len(previous_days), len(packs)), np.nan)
+        for j, (_, entry) in enumerate(packs):
             battery = entry.device.battery
             if battery is None:
                 continue
-            threshold = threshold_from_intensities(
-                previous_intensity[:, j],
+            thresholds[:, j] = daily_thresholds_from_intensities(
+                previous_days[:, :, j],
                 battery,
                 entry.device.average_power_w(entry.cohort.load_profile),
                 percentile_margin=self.percentile_margin,
                 fixed_percentile=self.fixed_percentile,
             )
-            if threshold is not None:
-                thresholds[j] = threshold
         return thresholds
 
     def day_modes(self, intensity, thresholds) -> np.ndarray:
@@ -289,6 +310,7 @@ class ForecastDispatch(DispatchPolicy):
         self._ledger = EnergyLedger(
             sites, min_state_of_charge=self.min_state_of_charge
         )
+        self._sites = list(sites)
         self._day = 0
         self._pending = {}
         self._pack_counts = None
@@ -298,9 +320,8 @@ class ForecastDispatch(DispatchPolicy):
     def set_pack_counts(self, counts: Optional[np.ndarray]) -> None:
         self._pack_counts = counts
 
-    def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
-        self._sites = list(sites)
-        return self.fallback.day_thresholds(previous_intensity, sites)
+    def day_thresholds(self, previous_days, sites) -> np.ndarray:
+        return self.fallback.day_thresholds(previous_days, sites)
 
     def day_modes(self, intensity, thresholds) -> np.ndarray:
         hours = intensity.shape[0]
@@ -455,37 +476,10 @@ class EnergyLedger:
             [entry.device.battery is not None for _, entry in self.packs]
         )
 
-    def day_capabilities(self, counts: Optional[np.ndarray] = None):
-        """One day's ``(capacity_j, charge_rate_w)`` per-pack arrays.
-
-        With ``counts=None`` the capabilities come from the live cohort
-        populations (the historical behaviour).  The deferred dispatch
-        replay instead passes the day-start device counts it recorded while
-        churn was still live; both paths share one per-count expression on
-        :class:`~repro.fleet.sites.SiteCohort`, so a recorded count
-        reproduces the live read bit for bit.
-        """
-        if counts is None:
-            capacity_j = np.array(
-                [entry.battery_capacity_j for _, entry in self.packs]
-            )
-            charge_rate_w = np.array(
-                [entry.battery_charge_rate_w for _, entry in self.packs]
-            )
-        else:
-            capacity_j = np.array(
-                [
-                    entry.battery_capacity_j_at(int(counts[j]))
-                    for j, (_, entry) in enumerate(self.packs)
-                ]
-            )
-            charge_rate_w = np.array(
-                [
-                    entry.battery_charge_rate_w_at(int(counts[j]))
-                    for j, (_, entry) in enumerate(self.packs)
-                ]
-            )
-        return capacity_j, charge_rate_w
+    def day_capabilities(self):
+        """The live cohort populations' ``(capacity_j, charge_rate_w)`` per pack."""
+        counts = np.array([entry.cohort.active_count for _, entry in self.packs])
+        return pack_capabilities(self.packs, counts)
 
     def step(
         self,
@@ -537,103 +531,78 @@ class EnergyLedger:
         charge_rate_w: np.ndarray,
         idle_fraction: np.ndarray,
     ):
-        """Advance all packs over a block of hours in one vectorized pass.
+        """Advance all packs over a block of hours: bitwise a fold of :meth:`step`.
 
-        Bitwise-exact batching of :meth:`step`: every input is an ``(H, C)``
-        matrix (or broadcastable to one — capabilities may vary per row when
-        the block spans churn days), and the return is the per-row
-        ``(battery_j, charge_j, soc)`` series :meth:`step` would have
-        produced hour by hour, with ``self.soc`` left at the final row.
+        Every input is an ``(H, C)`` matrix (or broadcastable to one —
+        capabilities may vary per row when the block spans churn days), and
+        the return is the per-row ``(battery_j, charge_j, soc)`` series
+        :meth:`step` would have produced hour by hour, with ``self.soc``
+        left at the final row.
 
-        The fast path assumes no physics constraint binds: candidate
-        discharge is the full device energy, candidate charge the full
-        deliverable power, and the SoC trajectory is the running cumulative
-        sum of the per-hour deltas (NumPy's ``cumsum`` accumulates strictly
-        left-to-right, so the partial sums are bitwise-identical to
-        sequential stepping).  Columns where any row violates an assumption
-        — SoC clipping at either bound, the below-floor forced recharge, a
-        discharge truncated at the floor, or a charge truncated at a full
-        pack — fall back to exact sequential stepping for that column only;
-        every ledger operation is elementwise per pack, so the hybrid
-        result is identical to stepping all columns sequentially.
+        SoC is a sequential recurrence, and real dispatch hits a bound every
+        day, so each pack column runs :meth:`step`'s exact scalar recurrence
+        on Python floats — the same IEEE-754 double operations in the same
+        order.  A ledger holds a handful of packs, too few to fill vector
+        lanes.  Inputs are read ``LEDGER_CHUNK_ROWS`` rows at a time with
+        the SoC carried across chunk edges, so no column is ever
+        materialised as Python floats in full.
         """
         modes = np.asarray(modes)
-        n_rows, n_packs = modes.shape
-        capacity_j = np.broadcast_to(
-            np.asarray(capacity_j, dtype=float), (n_rows, n_packs)
-        )
-        charge_rate_w = np.broadcast_to(
-            np.asarray(charge_rate_w, dtype=float), (n_rows, n_packs)
-        )
+        shape = modes.shape
+        n_rows, n_packs = shape
+        capacity_j = np.broadcast_to(np.asarray(capacity_j, dtype=float), shape)
+        charge_rate_w = np.broadcast_to(np.asarray(charge_rate_w, dtype=float), shape)
         device_energy_j = np.broadcast_to(
-            np.asarray(device_energy_j, dtype=float), (n_rows, n_packs)
+            np.asarray(device_energy_j, dtype=float), shape
         )
-        idle_fraction = np.broadcast_to(
-            np.asarray(idle_fraction, dtype=float), (n_rows, n_packs)
-        )
-        usable = self._has_battery[None, :] & (capacity_j > 0)
-        deliverable_j = charge_rate_w * np.clip(idle_fraction, 0.0, 1.0) * step_s
-
-        discharging = usable & (modes == DISPATCH_DISCHARGE)
-        charging = usable & (modes == DISPATCH_CHARGE)
-        battery_j = np.where(discharging, device_energy_j, 0.0)
-        charge_j = np.where(charging, deliverable_j, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            delta = np.where(
-                capacity_j > 0, (charge_j - battery_j) / capacity_j, 0.0
+        idle_fraction = np.broadcast_to(np.asarray(idle_fraction, dtype=float), shape)
+        battery_j = np.empty(shape)
+        charge_j = np.empty(shape)
+        soc = np.empty(shape)
+        min_soc = self.min_soc
+        state = self.soc.tolist()
+        for start in range(0, n_rows, LEDGER_CHUNK_ROWS):
+            rows = slice(start, start + LEDGER_CHUNK_ROWS)
+            # step's own elementwise expression, evaluated the same way.
+            deliverable_j = (
+                charge_rate_w[rows] * np.clip(idle_fraction[rows], 0.0, 1.0) * step_s
             )
-        # Cumulative partial sums seeded with the entry SoC: cumsum row k+1
-        # is (((soc0 + d0) + d1) + ...) + dk — the exact sequential chain.
-        stacked = np.empty((n_rows + 1, n_packs))
-        stacked[0] = self.soc
-        stacked[1:] = delta
-        trajectory = np.cumsum(stacked, axis=0)
-        before = trajectory[:-1]
-        soc = trajectory[1:]
-
-        available_j = np.clip(before - self.min_soc, 0.0, None) * capacity_j
-        headroom_j = np.clip(1.0 - before, 0.0, None) * capacity_j
-        violated = (
-            ((soc < 0.0) | (soc > 1.0))  # clip would bind
-            | (usable & (before < self.min_soc) & (modes != DISPATCH_CHARGE))
-            | (discharging & (device_energy_j > available_j))
-            | (charging & (deliverable_j > headroom_j))
-        )
-        bad = np.nonzero(violated.any(axis=0))[0]
-        if bad.size:
-            state = stacked[0, bad].copy()
-            for row in range(n_rows):
-                row_modes = modes[row, bad]
-                row_usable = usable[row, bad]
-                row_capacity = capacity_j[row, bad]
-                row_modes = np.where(
-                    row_usable & (state < self.min_soc), DISPATCH_CHARGE, row_modes
-                )
-                row_discharging = row_usable & (row_modes == DISPATCH_DISCHARGE)
-                row_available = np.clip(state - self.min_soc, 0.0, None) * row_capacity
-                row_battery = np.where(
-                    row_discharging,
-                    np.minimum(device_energy_j[row, bad], row_available),
-                    0.0,
-                )
-                row_charging = row_usable & (row_modes == DISPATCH_CHARGE)
-                row_headroom = np.clip(1.0 - state, 0.0, None) * row_capacity
-                row_charge = np.where(
-                    row_charging,
-                    np.minimum(row_headroom, deliverable_j[row, bad]),
-                    0.0,
-                )
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    row_delta = np.where(
-                        row_capacity > 0,
-                        (row_charge - row_battery) / row_capacity,
-                        0.0,
-                    )
-                state = np.clip(state + row_delta, 0.0, 1.0)
-                battery_j[row, bad] = row_battery
-                charge_j[row, bad] = row_charge
-                soc[row, bad] = state
-        self.soc = soc[-1].copy()
+            for j in range(n_packs):
+                has_battery = bool(self._has_battery[j])
+                s = state[j]
+                out_battery, out_charge, out_soc = [], [], []
+                for mode, energy, capacity, deliverable in zip(
+                    modes[rows, j].tolist(),
+                    device_energy_j[rows, j].tolist(),
+                    capacity_j[rows, j].tolist(),
+                    deliverable_j[:, j].tolist(),
+                ):
+                    battery = charge = delta = 0.0
+                    if has_battery and capacity > 0.0:
+                        if s < min_soc:
+                            mode = DISPATCH_CHARGE  # backup-power forced recharge
+                        if mode == DISPATCH_DISCHARGE:
+                            available = s - min_soc
+                            available = (0.0 if available < 0.0 else available) * capacity
+                            battery = available if available < energy else energy
+                        elif mode == DISPATCH_CHARGE:
+                            headroom = 1.0 - s
+                            headroom = (0.0 if headroom < 0.0 else headroom) * capacity
+                            charge = headroom if headroom < deliverable else deliverable
+                        delta = (charge - battery) / capacity
+                    s += delta
+                    if s < 0.0:
+                        s = 0.0
+                    elif s > 1.0:
+                        s = 1.0
+                    out_battery.append(battery)
+                    out_charge.append(charge)
+                    out_soc.append(s)
+                battery_j[rows, j] = out_battery
+                charge_j[rows, j] = out_charge
+                soc[rows, j] = out_soc
+                state[j] = s
+        self.soc = np.array(state)
         return battery_j, charge_j, soc
 
 

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.fleet.dispatch import DispatchPolicy, site_packs
+from repro.fleet.dispatch import DispatchPolicy, pack_capabilities, site_packs
 from repro.fleet.execution import execute_dispatch
 from repro.fleet.reporting import FleetReport
 from repro.fleet.sites import FleetSite, SiteCohort
@@ -297,7 +297,7 @@ class FleetSimulation:
     CCI) are precomputed once for the whole run (bitwise-identical to
     per-day calls: they are elementwise functions of exactly representable
     hour indices).  Pass B replays the entire dispatch timeline afterwards
-    from what Pass A recorded, through the ledger's vectorized
+    from what Pass A recorded, through the ledger's
     :meth:`~repro.fleet.dispatch.EnergyLedger.step_block` (see
     :mod:`repro.fleet.execution`).
     """
@@ -488,6 +488,9 @@ class FleetSimulation:
             # is sitting idle and can charge.
             idle_fraction = 1.0 - utilization_all
             device_j = device_kwh * units.JOULES_PER_KWH
+            capacity_day, charge_rate_day = pack_capabilities(
+                self.segments, counts_day
+            )
             with tele.span("dispatch_day", calls=n_days):
                 (
                     battery_j,
@@ -501,6 +504,8 @@ class FleetSimulation:
                     device_j,
                     idle_fraction,
                     counts_day,
+                    capacity_day,
+                    charge_rate_day,
                     step_s,
                 )
             cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
@@ -510,7 +515,7 @@ class FleetSimulation:
             battery_kwh = self._per_site(cohort_battery_kwh)
             charge_kwh = self._per_site(cohort_charge_kwh)
             soc = self._site_soc(
-                pack_soc, self._pack_capacity_rows(counts_day, hours_per_day)
+                pack_soc, np.repeat(capacity_day, hours_per_day, axis=0)
             )
             grid_kwh = total_kwh - battery_kwh
             energy_kwh_all = grid_kwh + charge_kwh
@@ -724,19 +729,6 @@ class FleetSimulation:
                 )
         return np.repeat(capacity_day, hours_per_day, axis=0)
 
-    def _pack_capacity_rows(
-        self, counts_day: np.ndarray, hours_per_day: int
-    ) -> np.ndarray:
-        """Per-``(hour, pack)`` battery capacity from the recorded day counts."""
-        n_days = counts_day.shape[0]
-        capacity_day = np.empty((n_days, len(self.segments)))
-        for j, (_, entry) in enumerate(self.segments):
-            for day in range(n_days):
-                capacity_day[day, j] = entry.battery_capacity_j_at(
-                    int(counts_day[day, j])
-                )
-        return np.repeat(capacity_day, hours_per_day, axis=0)
-
     def _clip_accounting(
         self, shortfall_j: np.ndarray, hours_per_day: int
     ) -> Tuple[int, float]:
@@ -779,8 +771,8 @@ class FleetSimulation:
         historical per-site series, bit for bit); mixed sites weight by the
         per-row pack capacities via segment-wise ``np.add.reduceat``,
         falling back to a plain mean on rows where no pack holds energy.
-        ``capacity_rows`` is the ``(n_steps, n_packs)`` capacity matrix from
-        :meth:`_pack_capacity_rows`.
+        ``capacity_rows`` is the ``(n_steps, n_packs)`` battery capacity
+        matrix (:func:`~repro.fleet.dispatch.pack_capabilities`).
         """
         n_packs = pack_soc.shape[1]
         sizes = np.diff(np.append(self._site_starts, n_packs))

@@ -83,19 +83,21 @@ def bench_records(
     recorded_at = recorded_at if recorded_at is not None else utc_timestamp()
     records = []
     for case in payload["cases"]:
-        records.append(
-            {
-                "kind": "bench",
-                "benchmark": payload.get("benchmark"),
-                "case": case["case"],
-                "devices": case.get("devices"),
-                "n_days": case.get("n_days"),
-                "wall_s": case["wall_s"],
-                "device_days_per_s": case.get("device_days_per_s"),
-                "git_sha": sha,
-                "recorded_at": recorded_at,
-            }
-        )
+        record = {
+            "kind": "bench",
+            "benchmark": payload.get("benchmark"),
+            "case": case["case"],
+            "devices": case.get("devices"),
+            "n_days": case.get("n_days"),
+            "wall_s": case["wall_s"],
+            "device_days_per_s": case.get("device_days_per_s"),
+            "git_sha": sha,
+            "recorded_at": recorded_at,
+        }
+        # Layer cases (the ledger replay) count work in their own unit.
+        if "pack_hours_per_s" in case:
+            record["pack_hours_per_s"] = case["pack_hours_per_s"]
+        records.append(record)
     return records
 
 

@@ -1,6 +1,7 @@
 """Energy-dispatch core: ledger physics, conservation, and determinism."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from repro.fleet import (
     RoundRobinRouting,
     two_site_asymmetric_fleet,
 )
+from repro.charging import threshold_from_intensities
+from repro.fleet import dispatch as dispatch_module
 from repro.fleet.dispatch import (
     DISPATCH_CHARGE,
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
+    LEDGER_CHUNK_ROWS,
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, mixed_phone_site
 
@@ -275,16 +279,17 @@ def mixed_site():
 
 @st.composite
 def ledger_blocks(draw):
-    """One ``step_block`` input: per-row capabilities, modes, entry SoC.
+    """One ``step_block`` input: per-row capabilities, modes, entry SoC, chunk.
 
     A *gentle* column moves at most a few joules per hour against a pack of
-    at least 10 kJ from a mid-range SoC, so no bound can bind and
-    ``step_block`` keeps it on the cumsum fast path.  Every other column
-    draws energies up to thousands of times its capacity, zero-capacity
-    rows and entry SoCs below the floor, which sends it to the sequential
-    fallback.
+    at least 10 kJ from a mid-range SoC, so no bound binds.  Every other
+    column draws energies up to thousands of times its capacity,
+    zero-capacity rows and entry SoCs below the floor, so it clips.  The
+    drawn chunk size is what ``step_block`` runs with: small chunks put
+    chunk edges inside short blocks.
     """
     n_rows = draw(st.integers(min_value=1, max_value=48))
+    chunk_rows = draw(st.sampled_from([1, 5, LEDGER_CHUNK_ROWS]))
     shape = (n_rows, N_PACKS)
 
     def unit(size=shape):
@@ -316,7 +321,35 @@ def ledger_blocks(draw):
         )
     )
     soc = np.where(gentle, 0.4 + 0.2 * entry, entry)
-    return modes, device_j, capacity_j, charge_rate_w, idle_fraction, soc
+    return modes, device_j, capacity_j, charge_rate_w, idle_fraction, soc, chunk_rows
+
+
+def _chunk_edge_block():
+    """A 1,100-row block (over two chunks) that clips around each chunk edge.
+
+    Packs hold between edges.  On the rows around each edge the two
+    battery-backed packs drain to the floor, refill to full, and overshoot
+    both bounds; the Nexus pack also loses its capacity for two rows right
+    at the edge.  The third pack has no battery.
+    """
+    n_rows = 1_100
+    modes = np.full((n_rows, N_PACKS), DISPATCH_HOLD, dtype=np.int8)
+    capacity_j = np.full((n_rows, N_PACKS), 1e5)
+    for edge in (LEDGER_CHUNK_ROWS, 2 * LEDGER_CHUNK_ROWS):
+        around = np.arange(edge - 4, edge + 4)
+        modes[around] = np.where(
+            (around % 2 == 0)[:, None], DISPATCH_DISCHARGE, DISPATCH_CHARGE
+        )
+        capacity_j[edge - 1 : edge + 1, 1] = 0.0
+    return (
+        modes,
+        np.full((n_rows, N_PACKS), 1e9),
+        capacity_j,
+        np.full((n_rows, N_PACKS), 1e4),
+        np.full((n_rows, N_PACKS), 1.1),
+        np.array([0.24, 0.99, 0.5]),
+        LEDGER_CHUNK_ROWS,
+    )
 
 
 def _bits(array):
@@ -328,7 +361,7 @@ class TestStepBlockMatchesStepFold:
 
     @settings(max_examples=150, deadline=None)
     @given(ledger_blocks())
-    @example(  # all three columns on the fast path
+    @example(  # no bound binds on any column
         (
             np.full((24, N_PACKS), DISPATCH_DISCHARGE, dtype=np.int8),
             np.full((24, N_PACKS), 0.5),
@@ -336,6 +369,7 @@ class TestStepBlockMatchesStepFold:
             np.full((24, N_PACKS), 1e-3),
             np.full((24, N_PACKS), 0.5),
             np.full(N_PACKS, 0.5),
+            LEDGER_CHUNK_ROWS,
         )
     )
     @example(  # every column clips: floor, full pack, forced recharge
@@ -349,18 +383,29 @@ class TestStepBlockMatchesStepFold:
             np.full((12, N_PACKS), 1e4),
             np.full((12, N_PACKS), 1.1),
             np.array([0.24, 0.99, 0.5]),
+            LEDGER_CHUNK_ROWS,
         )
     )
+    @example(_chunk_edge_block())
     def test_step_block_equals_fold_of_step(self, mixed_site, block):
-        modes, device_j, capacity_j, charge_rate_w, idle_fraction, soc = block
+        (
+            modes,
+            device_j,
+            capacity_j,
+            charge_rate_w,
+            idle_fraction,
+            soc,
+            chunk_rows,
+        ) = block
         blocked = EnergyLedger([mixed_site], min_state_of_charge=0.25)
         folded = EnergyLedger([mixed_site], min_state_of_charge=0.25)
         blocked.soc = soc.copy()
         folded.soc = soc.copy()
 
-        battery_j, charge_j, soc_rows = blocked.step_block(
-            modes, device_j, STEP_S, capacity_j, charge_rate_w, idle_fraction
-        )
+        with mock.patch.object(dispatch_module, "LEDGER_CHUNK_ROWS", chunk_rows):
+            battery_j, charge_j, soc_rows = blocked.step_block(
+                modes, device_j, STEP_S, capacity_j, charge_rate_w, idle_fraction
+            )
         for row in range(modes.shape[0]):
             row_battery, row_charge = folded.step(
                 modes[row],
@@ -374,6 +419,76 @@ class TestStepBlockMatchesStepFold:
             assert _bits(charge_j[row]) == _bits(row_charge), f"charge row {row}"
             assert _bits(soc_rows[row]) == _bits(folded.soc), f"soc row {row}"
         assert _bits(blocked.soc) == _bits(folded.soc)
+
+
+# ---------------------------------------------------------------------------
+# Whole-run thresholds == a per-day fold of threshold_from_intensities
+# ---------------------------------------------------------------------------
+
+
+class TestWholeRunThresholds:
+    """``day_thresholds`` over stacked days equals one call per day and pack."""
+
+    @staticmethod
+    def _previous_days(n_days, seed=3):
+        # Rounded intensities: ties in a day exercise the order statistics.
+        rng = np.random.default_rng(seed)
+        return np.round(rng.uniform(50.0, 600.0, size=(n_days, 24, N_PACKS)))
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            CarbonBufferDispatch(),
+            CarbonBufferDispatch(percentile_margin=0.0),
+            CarbonBufferDispatch(fixed_percentile=30.0),
+        ],
+        ids=["default-margin", "zero-margin", "fixed-percentile"],
+    )
+    def test_equals_per_day_fold(self, mixed_site, policy):
+        days = self._previous_days(40)
+        whole = policy.day_thresholds(days, [mixed_site])
+        assert whole.shape == (40, N_PACKS)
+        for day in range(days.shape[0]):
+            for j, entry in enumerate(mixed_site.cohorts):
+                if entry.device.battery is None:
+                    assert np.isnan(whole[day, j])
+                    continue
+                expected = threshold_from_intensities(
+                    days[day, :, j],
+                    entry.device.battery,
+                    entry.device.average_power_w(entry.cohort.load_profile),
+                    percentile_margin=policy.percentile_margin,
+                    fixed_percentile=policy.fixed_percentile,
+                )
+                assert _bits(whole[day, j]) == _bits(expected), (day, j)
+
+    def test_no_history_gives_no_rows(self, mixed_site):
+        empty = CarbonBufferDispatch().day_thresholds(
+            np.empty((0, 24, N_PACKS)), [mixed_site]
+        )
+        assert empty.shape == (0, N_PACKS)
+
+    def test_one_day_run_holds_every_pack(self):
+        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=2)
+        report = FleetSimulation(
+            sites, GreedyLowestIntensityRouting(), DEMAND,
+            dispatch=CarbonBufferDispatch(),
+        ).run(1)
+        assert not report.battery_kwh.any() and not report.charge_kwh.any()
+        assert np.all(report.soc == 1.0)
+
+    def test_non_finite_previous_day_raises(self, mixed_site):
+        days = self._previous_days(3)
+        days[1, 7, 0] = np.nan
+        with pytest.raises(ValueError, match="intensities contains 1 non-finite"):
+            CarbonBufferDispatch().day_thresholds(days, [mixed_site])
+
+    def test_battery_less_pack_intensities_are_never_read(self, mixed_site):
+        days = self._previous_days(3)
+        days[:, :, 2] = np.inf
+        thresholds = CarbonBufferDispatch().day_thresholds(days, [mixed_site])
+        assert np.all(np.isnan(thresholds[:, 2]))
+        assert np.all(np.isfinite(thresholds[:, :2]))
 
 
 # ---------------------------------------------------------------------------

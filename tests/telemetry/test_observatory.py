@@ -299,6 +299,14 @@ def test_bench_records_carry_provenance():
     assert record["wall_s"] == 1.0
     assert record["git_sha"] == "cafe" * 10
     assert record["recorded_at"] == "2026-01-01T00:00:00Z"
+    assert "pack_hours_per_s" not in record
+
+
+def test_bench_records_carry_a_layer_case_unit():
+    payload = _bench_payload(0.02, case="ledger-replay")
+    payload["cases"][0]["pack_hours_per_s"] = 1.7e6
+    (record,) = bench_records(payload, sha="s")
+    assert record["pack_hours_per_s"] == 1.7e6
 
 
 def test_history_round_trip_and_rolling_baseline(tmp_path):
