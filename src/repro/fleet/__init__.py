@@ -6,13 +6,13 @@ failing, and being replaced across geo-distributed sites with different
 grid mixes, with request routing policies that exploit the differences.
 
 * :mod:`repro.fleet.population` — vectorized device cohorts (intake,
-  battery aging, stochastic churn, replacement policies), grouped per site
-  by :class:`FleetPopulation` with independent seeded streams;
+  battery aging, stochastic churn, replacement policies), each on its own
+  seeded stream;
 * :mod:`repro.fleet.churn` — the bucketed churn engine
-  (:class:`BucketedCohort`): deploy-day cohort buckets with one binomial
-  draw per bucket, distributionally equivalent to the per-device
-  reference at O(days) instead of O(devices) per step, selected via
-  ``churn.sampler`` on the scenario spec;
+  (:class:`BucketedCohort`): the same cohort engine over deploy-day
+  buckets with one binomial draw per bucket, distributionally equivalent
+  to the per-device engine at O(days) instead of O(devices) per step,
+  selected via ``churn.sampler`` on the scenario spec;
 * :mod:`repro.fleet.sites` — multi-site cloudlets, each a
   :class:`~repro.cluster.cloudlet.CloudletDesign` bound to its own
   :class:`~repro.grid.traces.GridTrace` and holding one or more typed
@@ -49,7 +49,6 @@ from repro.fleet.population import (
     CohortStep,
     DeviceCohort,
     FailureModel,
-    FleetPopulation,
     IntakeStream,
     ReplacementPolicy,
     steady_state_intake_rate,
@@ -95,7 +94,6 @@ __all__ = [
     # population
     "DeviceCohort",
     "CohortStep",
-    "FleetPopulation",
     "IntakeStream",
     "FailureModel",
     "ReplacementPolicy",

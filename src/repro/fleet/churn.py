@@ -1,27 +1,27 @@
 """Bucketed population churn: per-deploy-day cohort buckets, not per-device rows.
 
-:class:`~repro.fleet.population.DeviceCohort` keeps one array slot per
-device ever deployed and pays O(n_devices) per simulated day — a uniform
-draw per device, an ``np.exp`` over every device's age, and several masked
-passes.  At a million devices that is ~94 % of the fleet loop's wall clock.
+:class:`~repro.fleet.population.DeviceCohort` keeps one row per device ever
+deployed and pays O(n_devices) per simulated day — a uniform draw per
+device and several passes over every row.
 
 This module exploits a structural fact of that reference engine: every
 device deployed on the same day shares *identical* state forever after.
 Ages advance uniformly, battery cycles accrue at the cohort's common
 realised utilisation, and failures remove uniformly-random members — so the
-survivors of a deploy-day group are indistinguishable.  The flat
-``(_age_days, _battery_cycles, _battery_swaps, _active)`` arrays therefore
-collapse into buckets ``(deploy_day, swap_count) -> live_count``:
+survivors of a deploy-day group are indistinguishable.  One row of the
+shared ``(_count, _age_days, _battery_cycles, _battery_swaps)`` state can
+therefore hold a whole deploy-day bucket, and :class:`BucketedCohort` is
+the same engine with one bucket per row:
 
 * **hardware failures** become one seeded binomial draw per bucket —
   ``Binomial(count, p_fail(age))`` is exactly the distribution of the sum
   of ``count`` i.i.d. per-device Bernoulli draws at the same age, so the
   bucketed engine is *distributionally* equivalent to the reference while
   its RNG stream (and hence any single trajectory) differs bitwise;
-* **battery wear-out** becomes a deterministic whole-bucket event: the
-  bucket's common cycle counter crosses ``cycle_life`` for every member at
-  once, swapping the whole bucket in place (``swap_count + 1``, cycles
-  reset) or retiring it when the swap budget is spent;
+* **battery wear-out** is the shared whole-row event: the bucket's common
+  cycle counter crosses ``cycle_life`` for every member at once, swapping
+  the whole bucket in place (``swap_count + 1``, cycles reset) or retiring
+  it when the swap budget is spent;
 * **intake / deploy / shortfall** arithmetic stays exact integer counting,
   so the conservation laws (``deployed - failures - retirements ==
   delta(active)`` and ``replacement carbon == swaps x embodied``) hold
@@ -39,20 +39,11 @@ because the two engines produce different (equally valid) trajectories.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro import units
-from repro.devices.power import LIGHT_MEDIUM, LoadProfile
-from repro.devices.specs import DeviceSpec
-from repro.fleet.population import (
-    CohortStep,
-    DeviceCohort,
-    FailureModel,
-    IntakeStream,
-    ReplacementPolicy,
-)
+from repro.fleet.population import DeviceCohort
 
 #: Churn engine names a :class:`~repro.scenarios.spec.ChurnSpec` may select.
 CHURN_SAMPLERS = ("device", "bucket")
@@ -68,263 +59,60 @@ def cohort_class_for_sampler(sampler: str) -> type:
     raise ValueError(f"unknown churn sampler {sampler!r}; expected one of: {known}")
 
 
-class BucketedCohort:
+class BucketedCohort(DeviceCohort):
     """A device population tracked as deploy-day buckets of identical state.
 
-    Drop-in replacement for :class:`~repro.fleet.population.DeviceCohort`:
-    same constructor shape, same public surface (``step`` / ``run`` /
-    ``history`` / totals / ``active_count`` / wear and age means /
-    ``average_draw_w``), same seed-derivation convention — but O(buckets)
-    per step instead of O(devices).  Trajectories are distributionally
-    equivalent to the reference engine, not bitwise-identical (the RNG
-    stream differs: one binomial per bucket instead of one uniform per
-    device), which is why the choice lives on the spec and in its hash.
+    The :class:`~repro.fleet.population.DeviceCohort` engine with one row
+    per bucket instead of one per device: O(buckets) per step instead of
+    O(devices).  Trajectories are distributionally equivalent to the
+    per-device engine, not bitwise-identical (the RNG stream differs: one
+    binomial per bucket instead of one uniform per device), which is why
+    the choice lives on the spec and in its hash.
     """
 
     #: Engine name surfaced via the ``churn.sampler`` telemetry gauge.
     sampler_name = "bucket"
 
-    def __init__(
-        self,
-        device: DeviceSpec,
-        policy: ReplacementPolicy,
-        intake: Optional[IntakeStream] = None,
-        failure_model: Optional[FailureModel] = None,
-        load_profile: LoadProfile = LIGHT_MEDIUM,
-        seed: int = 0,
-        initial_size: Optional[int] = None,
-        capacity_hint: Optional[int] = None,
-    ) -> None:
-        self.device = device
-        self.policy = policy
-        self.intake = intake or IntakeStream()
-        self.failure_model = failure_model or FailureModel()
-        self.load_profile = load_profile
-        self._rng = np.random.default_rng(seed)
-        self._fractional_arrivals = 0.0
-        self.day = 0.0
-        self.spares = self.intake.initial_spares
-        self.history: List[CohortStep] = []
-
-        # Bucket state: one row per live (deploy_day, swap_count) group.
-        # ``capacity_hint`` is accepted for interface parity with
-        # DeviceCohort (which sizes per-device arrays from it); bucket
-        # arrays scale with simulated days, not devices, so 16 is plenty.
-        capacity = 16
-        self._count = np.zeros(capacity, dtype=np.int64)
-        self._age_days = np.zeros(capacity)
-        self._battery_cycles = np.zeros(capacity)
-        self._battery_swaps = np.zeros(capacity, dtype=np.int64)
-        self._m = 0
-        #: High-water mark of live buckets (the ``churn.buckets_peak`` gauge).
-        self.buckets_peak = 0
-
-        self.total_failures = 0
-        self.total_battery_swaps = 0
-        self.total_retirements = 0
-        self.total_deployed = 0
-        self.total_replacement_carbon_g = 0.0
-
-        deploy = policy.target_size if initial_size is None else initial_size
-        if deploy < 0:
-            raise ValueError("initial size must be non-negative")
-        self._deploy(deploy)
-
-    # ------------------------------------------------------------------
-    # State inspection (same contract as DeviceCohort)
-    # ------------------------------------------------------------------
-
-    @property
-    def active_count(self) -> int:
-        """Number of currently-active devices (sum over live buckets)."""
-        return int(self._count[: self._m].sum())
-
     @property
     def buckets_live(self) -> int:
         """Number of live buckets (distinct device states) right now."""
-        return self._m
+        return self._n
 
-    @property
-    def availability(self) -> float:
-        """Active devices as a fraction of the policy's target size."""
-        return self.active_count / self.policy.target_size
+    def _initial_rows(self, capacity_hint: Optional[int]) -> int:
+        # Buckets scale with simulated days, not devices, so the device
+        # count hint does not size them.
+        return 16
 
-    def mean_age_days(self) -> float:
-        """Count-weighted mean age of the active devices (0 when none)."""
-        counts = self._count[: self._m]
+    def _open_rows(self, count: int) -> None:
+        """Open one fresh bucket (age 0, pristine battery) of ``count`` devices."""
+        self._append_rows(1, count)
+        self.buckets_peak = max(self.buckets_peak, self._n)
+
+    def _draw_failures(
+        self, counts: np.ndarray, ages: np.ndarray, dt_days: float
+    ) -> np.ndarray:
+        """One binomial draw per bucket: its members share one age, so
+        ``Binomial(count, p(age))`` is exactly the per-device Bernoulli sum."""
+        p_fail = self.failure_model.failure_probability(ages, dt_days)
+        return self._rng.binomial(counts, p_fail)
+
+    def _mean(self, values: np.ndarray) -> float:
+        """Count-weighted mean of ``values`` (0 when no device is live)."""
+        counts = self._count[: self._n]
         total = int(counts.sum())
         if total == 0:
             return 0.0
-        return float(np.sum(counts * self._age_days[: self._m]) / total)
-
-    def mean_battery_wear(self) -> float:
-        """Count-weighted mean fraction of battery cycle life consumed."""
-        if self.device.battery is None:
-            return 0.0
-        counts = self._count[: self._m]
-        total = int(counts.sum())
-        if total == 0:
-            return 0.0
-        mean_cycles = float(np.sum(counts * self._battery_cycles[: self._m]) / total)
-        return mean_cycles / self.device.battery.cycle_life
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-
-    def _grow_to(self, needed: int) -> None:
-        capacity = len(self._count)
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, 2 * capacity)
-        for name in ("_count", "_age_days", "_battery_cycles", "_battery_swaps"):
-            old = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=old.dtype)
-            grown[: self._m] = old[: self._m]
-            setattr(self, name, grown)
+        return float(np.sum(counts * values) / total)
 
     def _compact(self) -> None:
         """Drop emptied buckets, preserving the order of the survivors."""
-        m = self._m
+        m = self._n
         live = self._count[:m] > 0
         keep = int(np.count_nonzero(live))
         if keep == m:
             return
-        for name in ("_count", "_age_days", "_battery_cycles", "_battery_swaps"):
+        for name in self._COLUMNS:
             array = getattr(self, name)
             array[:keep] = array[:m][live]
-        self._m = keep
-
-    def _deploy(self, count: int) -> int:
-        """Open one fresh bucket (age 0, pristine battery) of ``count`` devices."""
-        if count <= 0:
-            return 0
-        self._grow_to(self._m + 1)
-        index = self._m
-        self._count[index] = count
-        self._age_days[index] = 0.0
-        self._battery_cycles[index] = 0.0
-        self._battery_swaps[index] = 0
-        self._m += 1
-        self.buckets_peak = max(self.buckets_peak, self._m)
-        self.total_deployed += count
-        return count
-
-    def _arrivals(self, dt_days: float) -> int:
-        rate = self.intake.arrivals_per_day * dt_days
-        if rate == 0:
-            return 0
-        if self.intake.poisson:
-            return int(self._rng.poisson(rate))
-        self._fractional_arrivals += rate
-        whole = int(self._fractional_arrivals)
-        self._fractional_arrivals -= whole
-        return whole
-
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-
-    def average_draw_w(self, utilization: Optional[float] = None) -> float:
-        """Per-device wall draw at the given mean utilisation.
-
-        Same contract as :meth:`DeviceCohort.average_draw_w`: defaults to
-        the load profile's average, and the fleet scheduler passes the
-        realised utilisation so battery cycling tracks the routed load.
-        """
-        if utilization is None:
-            return self.device.average_power_w(self.load_profile)
-        if not 0.0 <= utilization <= 1.0:
-            raise ValueError(f"utilization {utilization} outside [0, 1]")
-        return self.device.power_model.power_at(utilization)
-
-    def step(self, dt_days: float = 1.0, utilization: Optional[float] = None) -> CohortStep:
-        """Advance the population by ``dt_days``; O(buckets), not O(devices).
-
-        Phases mirror :meth:`DeviceCohort.step` one for one (failures,
-        battery wear, aging, intake, deploy) so the two engines are
-        distributionally equivalent step by step.
-        """
-        if dt_days <= 0:
-            raise ValueError("time step must be positive")
-        m = self._m
-        counts = self._count[:m]
-        ages = self._age_days[:m]
-
-        # 1. Stochastic hardware failures: one binomial draw per bucket —
-        # every member shares the same age, so Binomial(count, p(age)) is
-        # exactly the per-device Bernoulli sum.
-        p_fail = self.failure_model.failure_probability(ages, dt_days)
-        failed = self._rng.binomial(counts, p_fail)
-        failures = int(failed.sum())
-        counts -= failed
-
-        # 2. Battery cycling and wear-out: a bucket's common cycle counter
-        # crosses cycle_life for every member at once, so wear is a
-        # deterministic whole-bucket event — swap in place or retire.
-        battery_swaps = 0
-        retirements = 0
-        replacement_carbon_g = 0.0
-        battery = self.device.battery
-        if battery is not None:
-            draw_w = self.average_draw_w(utilization)
-            cycles_per_day = battery.daily_cycles(draw_w)
-            if cycles_per_day != 0.0:
-                cycles = self._battery_cycles[:m]
-                cycles += cycles_per_day * dt_days
-                worn = (counts > 0) & (cycles >= battery.cycle_life)
-                if worn.any():
-                    swaps_used = self._battery_swaps[:m]
-                    if self.policy.swap_batteries:
-                        swappable = worn & (
-                            swaps_used < self.policy.max_battery_swaps
-                        )
-                    else:
-                        swappable = np.zeros_like(worn)
-                    retire = worn & ~swappable
-                    battery_swaps = int(counts[swappable].sum())
-                    retirements = int(counts[retire].sum())
-                    cycles[swappable] = 0.0
-                    swaps_used[swappable] += 1
-                    counts[retire] = 0
-                    replacement_carbon_g += battery_swaps * units.kg_to_grams(
-                        battery.embodied_carbon_kgco2e
-                    )
-
-        # 3. Age survivors (emptied buckets are compacted away below).
-        ages += dt_days
-
-        # 4. Intake of decommissioned devices into the spare pool.
-        self.spares += self._arrivals(dt_days)
-
-        # 5. Deploy spares against the shortfall: one fresh bucket.
-        shortfall = self.policy.target_size - int(counts.sum())
-        deployed = min(self.spares, max(0, shortfall))
-        self.spares -= deployed
-        self._compact()
-        self._deploy(deployed)
-
-        self.day += dt_days
-        self.total_failures += failures
-        self.total_battery_swaps += battery_swaps
-        self.total_retirements += retirements
-        self.total_replacement_carbon_g += replacement_carbon_g
-
-        step = CohortStep(
-            day=self.day,
-            failures=failures,
-            battery_swaps=battery_swaps,
-            retirements=retirements,
-            deployed=deployed,
-            active=self.active_count,
-            spares=self.spares,
-            replacement_carbon_g=replacement_carbon_g,
-        )
-        self.history.append(step)
-        return step
-
-    def run(self, n_days: int, utilization: Optional[float] = None) -> List[CohortStep]:
-        """Step the cohort one day at a time for ``n_days``."""
-        if n_days <= 0:
-            raise ValueError("n_days must be positive")
-        return [self.step(1.0, utilization=utilization) for _ in range(n_days)]
+            array[keep:m] = 0
+        self._n = keep

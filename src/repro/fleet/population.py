@@ -16,11 +16,7 @@ well under a second:
   Equation 10) and/or deploy a spare from the intake pool;
 * :class:`DeviceCohort` — the vectorized population itself, stepped in
   days, reporting failures / swaps / deployments / replacement carbon per
-  step as :class:`CohortStep` records;
-* :class:`FleetPopulation` — the device population of one *site*: one or
-  more typed cohorts (a mixed Pixel 3A / Nexus 4 rack is the realistic
-  junkyard deployment), each stepped with its own independent seeded RNG
-  stream so adding or re-seeding one cohort never perturbs another.
+  step as :class:`CohortStep` records.
 
 All stochasticity flows from per-cohort ``numpy`` generators seeded at
 construction, so a fixed seed reproduces the fleet trajectory exactly.
@@ -30,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -138,8 +134,16 @@ class CohortStep:
 class DeviceCohort:
     """A vectorized population of one device type at one site.
 
-    State is held in flat NumPy arrays (one slot per device ever deployed);
-    an ``active`` mask distinguishes live devices from failed/retired ones.
+    State is held in parallel NumPy row arrays ``(_count, _age_days,
+    _battery_cycles, _battery_swaps)``: each row is ``_count`` devices that
+    share one state.  This per-device engine opens one row per device ever
+    deployed, so ``_count`` is 0 or 1; the rows are never compacted because
+    the failure draw takes one uniform per row.  Subclasses change the row
+    granularity through the engine hooks (``_initial_rows``,
+    ``_open_rows``, ``_draw_failures``, ``_mean``, ``_compact``) and share
+    everything else, including :meth:`step` — see
+    :class:`~repro.fleet.churn.BucketedCohort`.
+
     Arrays grow amortised-doubling style, so a year of daily steps over a
     10,000-device fleet allocates only a handful of times; callers that
     know the run length can pass ``capacity_hint`` (e.g. ``target_size +
@@ -148,6 +152,10 @@ class DeviceCohort:
 
     #: Engine name surfaced via the ``churn.sampler`` telemetry gauge.
     sampler_name = "device"
+    #: High-water mark of live buckets (the ``churn.buckets_peak`` gauge);
+    #: 0 for this engine, which has no bucket structure to count.
+    buckets_peak = 0
+    _COLUMNS = ("_count", "_age_days", "_battery_cycles", "_battery_swaps")
 
     def __init__(
         self,
@@ -171,11 +179,11 @@ class DeviceCohort:
         self.spares = self.intake.initial_spares
         self.history: List[CohortStep] = []
 
-        capacity = max(16, 2 * policy.target_size, capacity_hint or 0)
+        capacity = self._initial_rows(capacity_hint)
+        self._count = np.zeros(capacity, dtype=np.int64)
         self._age_days = np.zeros(capacity)
         self._battery_cycles = np.zeros(capacity)
         self._battery_swaps = np.zeros(capacity, dtype=np.int64)
-        self._active = np.zeros(capacity, dtype=bool)
         self._n = 0
 
         self.total_failures = 0
@@ -196,7 +204,7 @@ class DeviceCohort:
     @property
     def active_count(self) -> int:
         """Number of currently-active devices."""
-        return int(np.count_nonzero(self._active[: self._n]))
+        return int(self._count[: self._n].sum())
 
     @property
     def availability(self) -> float:
@@ -205,60 +213,42 @@ class DeviceCohort:
 
     def mean_age_days(self) -> float:
         """Mean age of the active devices (0 when none are active)."""
-        mask = self._active[: self._n]
-        if not mask.any():
-            return 0.0
-        return float(np.mean(self._age_days[: self._n][mask]))
+        return self._mean(self._age_days[: self._n])
 
     def mean_battery_wear(self) -> float:
         """Mean fraction of battery cycle life consumed by active devices."""
         if self.device.battery is None:
             return 0.0
-        mask = self._active[: self._n]
-        if not mask.any():
+        cycles = self._battery_cycles[: self._n]
+        return self._mean(cycles) / self.device.battery.cycle_life
+
+    # ------------------------------------------------------------------
+    # Engine hooks: one row per device
+    # ------------------------------------------------------------------
+
+    def _initial_rows(self, capacity_hint: Optional[int]) -> int:
+        return max(16, 2 * self.policy.target_size, capacity_hint or 0)
+
+    def _open_rows(self, count: int) -> None:
+        """One fresh row (age 0, pristine battery) per deployed device."""
+        self._append_rows(count, 1)
+
+    def _draw_failures(
+        self, counts: np.ndarray, ages: np.ndarray, dt_days: float
+    ) -> np.ndarray:
+        """One Bernoulli draw per row: a live device fails with p(age)."""
+        p_fail = self._failure_probabilities(ages, dt_days)
+        return (counts > 0) & (self._rng.random(len(counts)) < p_fail)
+
+    def _mean(self, values: np.ndarray) -> float:
+        """Mean of ``values`` over the live rows (0 when none are live)."""
+        alive = self._count[: self._n] > 0
+        if not alive.any():
             return 0.0
-        cycles = self._battery_cycles[: self._n][mask]
-        return float(np.mean(cycles) / self.device.battery.cycle_life)
+        return float(np.mean(values[alive]))
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-
-    def _grow_to(self, needed: int) -> None:
-        capacity = len(self._age_days)
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, 2 * capacity)
-        for name in ("_age_days", "_battery_cycles", "_battery_swaps", "_active"):
-            old = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
-    def _deploy(self, count: int) -> int:
-        """Activate ``count`` fresh devices (age 0, pristine battery)."""
-        if count <= 0:
-            return 0
-        self._grow_to(self._n + count)
-        sl = slice(self._n, self._n + count)
-        self._age_days[sl] = 0.0
-        self._battery_cycles[sl] = 0.0
-        self._battery_swaps[sl] = 0
-        self._active[sl] = True
-        self._n += count
-        self.total_deployed += count
-        return count
-
-    def _arrivals(self, dt_days: float) -> int:
-        rate = self.intake.arrivals_per_day * dt_days
-        if rate == 0:
-            return 0
-        if self.intake.poisson:
-            return int(self._rng.poisson(rate))
-        self._fractional_arrivals += rate
-        whole = int(self._fractional_arrivals)
-        self._fractional_arrivals -= whole
-        return whole
+    def _compact(self) -> None:
+        """Keep emptied rows: the failure draw takes one uniform per row."""
 
     def _failure_probabilities(self, ages: np.ndarray, dt_days: float) -> np.ndarray:
         """Per-device failure probabilities, deduplicated over integer ages.
@@ -279,6 +269,50 @@ class DeviceCohort:
                 )
                 return table[ages_int]
         return self.failure_model.failure_probability(ages, dt_days)
+
+    # ------------------------------------------------------------------
+    # Row storage
+    # ------------------------------------------------------------------
+
+    def _grow_to(self, needed: int) -> None:
+        capacity = len(self._count)
+        if needed <= capacity:
+            return
+        new_capacity = max(needed, 2 * capacity)
+        for name in self._COLUMNS:
+            old = getattr(self, name)
+            grown = np.zeros(new_capacity, dtype=old.dtype)
+            grown[: self._n] = old[: self._n]
+            setattr(self, name, grown)
+
+    def _append_rows(self, rows: int, count: int) -> None:
+        """Append ``rows`` fresh rows of ``count`` devices each.
+
+        Rows past ``_n`` are always all-zero (age 0, pristine battery):
+        arrays grow zero-filled and compaction clears the rows it frees.
+        """
+        self._grow_to(self._n + rows)
+        self._count[self._n : self._n + rows] = count
+        self._n += rows
+
+    def _deploy(self, count: int) -> int:
+        """Activate ``count`` fresh devices (age 0, pristine battery)."""
+        if count <= 0:
+            return 0
+        self._open_rows(count)
+        self.total_deployed += count
+        return count
+
+    def _arrivals(self, dt_days: float) -> int:
+        rate = self.intake.arrivals_per_day * dt_days
+        if rate == 0:
+            return 0
+        if self.intake.poisson:
+            return int(self._rng.poisson(rate))
+        self._fractional_arrivals += rate
+        whole = int(self._fractional_arrivals)
+        self._fractional_arrivals -= whole
+        return whole
 
     # ------------------------------------------------------------------
     # Stepping
@@ -308,60 +342,59 @@ class DeviceCohort:
         if dt_days <= 0:
             raise ValueError("time step must be positive")
         n = self._n
-        active = self._active[:n]
+        counts = self._count[:n]
         ages = self._age_days[:n]
 
         # 1. Stochastic hardware failures (age-dependent hazard).
-        p_fail = self._failure_probabilities(ages, dt_days)
-        draws = self._rng.random(n)
-        failed = active & (draws < p_fail)
-        failures = int(np.count_nonzero(failed))
-        active &= ~failed
+        failed = self._draw_failures(counts, ages, dt_days)
+        failures = int(failed.sum())
+        counts -= failed
 
-        # 2. Battery cycling and wear-out.
+        # 2. Battery cycling and wear-out: a row's members share one cycle
+        # counter, so the whole row wears out at once — swap in place or
+        # retire.
         battery_swaps = 0
         retirements = 0
         replacement_carbon_g = 0.0
         battery = self.device.battery
         if battery is not None:
-            draw_w = self.average_draw_w(utilization)
-            cycles_per_day = battery.daily_cycles(draw_w)
-            # Zero draw accrues no cycles, and no *active* device carries
-            # cycles >= cycle_life across a step boundary (worn devices are
-            # swapped or retired the step they cross), so the whole wear
-            # block is a no-op — skipping it is bitwise-safe.
+            cycles_per_day = battery.daily_cycles(self.average_draw_w(utilization))
+            # Zero draw accrues no cycles, and no live row carries cycles >=
+            # cycle_life across a step boundary (worn rows are swapped or
+            # retired the step they cross), so skipping is bitwise-safe.
             if cycles_per_day != 0.0:
-                self._battery_cycles[:n][active] += cycles_per_day * dt_days
-                worn = active & (self._battery_cycles[:n] >= battery.cycle_life)
-            else:
-                worn = np.zeros_like(active)
-            if worn.any():
-                swaps_used = self._battery_swaps[:n]
-                if self.policy.swap_batteries:
-                    swappable = worn & (swaps_used < self.policy.max_battery_swaps)
-                else:
-                    swappable = np.zeros_like(worn)
-                retire = worn & ~swappable
-                battery_swaps = int(np.count_nonzero(swappable))
-                retirements = int(np.count_nonzero(retire))
-                self._battery_cycles[:n][swappable] = 0.0
-                self._battery_swaps[:n][swappable] += 1
-                active &= ~retire
-                replacement_carbon_g += battery_swaps * units.kg_to_grams(
-                    battery.embodied_carbon_kgco2e
-                )
+                cycles = self._battery_cycles[:n]
+                cycles += cycles_per_day * dt_days
+                worn = (counts > 0) & (cycles >= battery.cycle_life)
+                if worn.any():
+                    swaps_used = self._battery_swaps[:n]
+                    if self.policy.swap_batteries:
+                        swappable = worn & (
+                            swaps_used < self.policy.max_battery_swaps
+                        )
+                    else:
+                        swappable = np.zeros_like(worn)
+                    retire = worn & ~swappable
+                    battery_swaps = int(counts[swappable].sum())
+                    retirements = int(counts[retire].sum())
+                    cycles[swappable] = 0.0
+                    swaps_used[swappable] += 1
+                    counts[retire] = 0
+                    replacement_carbon_g += battery_swaps * units.kg_to_grams(
+                        battery.embodied_carbon_kgco2e
+                    )
 
-        # 3. Age survivors.
-        self._age_days[:n][active] += dt_days
+        # 3. Age every row; an emptied row's state is never read again.
+        ages += dt_days
 
         # 4. Intake of decommissioned devices into the spare pool.
         self.spares += self._arrivals(dt_days)
 
         # 5. Deploy spares to fill the shortfall against the target size.
-        shortfall = self.policy.target_size - int(np.count_nonzero(active))
+        shortfall = self.policy.target_size - int(counts.sum())
         deployed = min(self.spares, max(0, shortfall))
         self.spares -= deployed
-        self._active[:n] = active
+        self._compact()
         self._deploy(deployed)
 
         self.day += dt_days
@@ -388,80 +421,6 @@ class DeviceCohort:
         if n_days <= 0:
             raise ValueError("n_days must be positive")
         return [self.step(1.0, utilization=utilization) for _ in range(n_days)]
-
-
-class FleetPopulation:
-    """The device population of one site: typed cohorts with independent RNGs.
-
-    A thin grouping layer over :class:`DeviceCohort`: each cohort keeps its
-    own seeded generator (churn in one device type never consumes random
-    draws belonging to another), while this class answers the site-level
-    questions — total live devices, aggregate wear, one-day stepping at
-    per-cohort utilisations.
-    """
-
-    def __init__(self, cohorts: Sequence[DeviceCohort]) -> None:
-        if not cohorts:
-            raise ValueError("a fleet population needs at least one cohort")
-        self.cohorts = list(cohorts)
-
-    def __len__(self) -> int:
-        return len(self.cohorts)
-
-    def __iter__(self):
-        return iter(self.cohorts)
-
-    @property
-    def active_count(self) -> int:
-        """Live devices across every cohort."""
-        return sum(cohort.active_count for cohort in self.cohorts)
-
-    @property
-    def target_size(self) -> int:
-        """Aggregate target deployment across cohorts."""
-        return sum(cohort.policy.target_size for cohort in self.cohorts)
-
-    @property
-    def spares(self) -> int:
-        """Spare devices pooled across cohorts (spares are per device type)."""
-        return sum(cohort.spares for cohort in self.cohorts)
-
-    def mean_battery_wear(self) -> float:
-        """Active-count-weighted mean battery wear across cohorts."""
-        if len(self.cohorts) == 1:
-            return self.cohorts[0].mean_battery_wear()
-        weights = [cohort.active_count for cohort in self.cohorts]
-        total = sum(weights)
-        if total == 0:
-            return 0.0
-        return (
-            sum(
-                weight * cohort.mean_battery_wear()
-                for weight, cohort in zip(weights, self.cohorts)
-            )
-            / total
-        )
-
-    def step_all(
-        self, dt_days: float = 1.0, utilizations: Optional[Sequence[float]] = None
-    ) -> List[CohortStep]:
-        """Advance every cohort by ``dt_days``, one utilisation per cohort.
-
-        ``utilizations`` must match the cohort count when given (the fleet
-        scheduler passes the realised per-type utilisation); ``None`` lets
-        every cohort cycle at its own load profile's average.
-        """
-        if utilizations is None:
-            utilizations = [None] * len(self.cohorts)
-        if len(utilizations) != len(self.cohorts):
-            raise ValueError(
-                f"got {len(utilizations)} utilisations for "
-                f"{len(self.cohorts)} cohorts"
-            )
-        return [
-            cohort.step(dt_days, utilization=utilization)
-            for cohort, utilization in zip(self.cohorts, utilizations)
-        ]
 
 
 def steady_state_intake_rate(

@@ -436,20 +436,14 @@ class FleetSimulation:
             # Which churn engine stepped this run, and how many distinct
             # device-state buckets it peaked at (0 for the per-device
             # reference, which has no bucket structure to count).
-            samplers = {
-                getattr(entry.cohort, "sampler_name", "device")
-                for _, entry in self.segments
-            }
+            samplers = {entry.cohort.sampler_name for _, entry in self.segments}
             tele.gauge(
                 "churn.sampler",
                 samplers.pop() if len(samplers) == 1 else "mixed",
             )
             tele.gauge(
                 "churn.buckets_peak",
-                max(
-                    getattr(entry.cohort, "buckets_peak", 0)
-                    for _, entry in self.segments
-                ),
+                max(entry.cohort.buckets_peak for _, entry in self.segments),
             )
 
         # -- Pass B: whole-run vectorized reductions and dispatch replay ---

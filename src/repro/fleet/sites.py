@@ -56,7 +56,6 @@ from repro.fleet.churn import cohort_class_for_sampler
 from repro.fleet.population import (
     DeviceCohort,
     FailureModel,
-    FleetPopulation,
     IntakeStream,
     ReplacementPolicy,
     steady_state_intake_rate,
@@ -347,7 +346,6 @@ class FleetSite:
         # Back-compat aliases: the primary cohort is the first entry.
         self.cohort = self.cohorts[0].cohort
         self.requests_per_device_s = self.cohorts[0].requests_per_device_s
-        self.population = FleetPopulation([entry.cohort for entry in self.cohorts])
         cohort_devices = [entry.device.name for entry in self.cohorts]
         if self.design.device.name not in cohort_devices:
             raise ValueError(

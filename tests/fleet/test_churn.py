@@ -2,6 +2,8 @@
 distributional equivalence with the per-device reference sampler."""
 
 import dataclasses
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -85,8 +87,9 @@ class TestSamplerRegistry:
 
 
 class TestBucketConservation:
-    def test_counts_and_carbon_conserved_every_step(self):
-        cohort = build_cohort("bucket", seed=3)
+    @pytest.mark.parametrize("sampler", CHURN_SAMPLERS)
+    def test_counts_and_carbon_conserved_every_step(self, sampler):
+        cohort = build_cohort(sampler, seed=3)
         embodied_g = 1_000.0 * FAST_WEAR_PIXEL.battery.embodied_carbon_kgco2e
         previous_active = cohort.active_count
         for step in cohort.run(200, utilization=0.9):
@@ -130,6 +133,135 @@ class TestBucketConservation:
         assert len(retire_days) == 1
         assert steps[int(retire_days[0]) - 1].retirements == 100
         assert cohort.active_count == 0
+
+
+NO_BATTERY_PIXEL = dataclasses.replace(FAST_WEAR_PIXEL, battery=None)
+
+#: Grid of the pinned trajectories: (device and swap policy, intake, dt).
+#: Without a battery the swap policy never fires, so it is not an axis.
+PINNED_GRID = list(
+    itertools.product(
+        ("battery-swaps", "battery-no-swaps", "no-battery"),
+        ("poisson", "deterministic"),
+        (1.0, 0.5),
+    )
+)
+
+#: SHA-256 of every step's ``CohortStep`` fields and the two means, over
+#: 120 days of a 300-device cohort, per sampler and ``PINNED_GRID`` case.
+PINNED_DIGESTS = {
+    "device-battery-swaps-poisson-1.0": (
+        "dca4853ca24d864b978359358c3f2b7a83508f7d5202b63e21dc33f83ab0a287"
+    ),
+    "device-battery-swaps-poisson-0.5": (
+        "0516b1b75f1015ccde9299102f655f27b542b2c3ce77e7f1328bfde2c3d43bd8"
+    ),
+    "device-battery-swaps-deterministic-1.0": (
+        "c072372b18f41d70d71eab57cd2a23349a98f36b0cfb033128e17a033b41b68d"
+    ),
+    "device-battery-swaps-deterministic-0.5": (
+        "cbe7523617f9b273c5930e2869e77e33cb8976d86e8f8f3a7585823f8f20bdbb"
+    ),
+    "device-battery-no-swaps-poisson-1.0": (
+        "4ae48ab434e5c4a99ba885ffbd263dd90bbfffa4c5eec1f64ae87a35bc4ed40f"
+    ),
+    "device-battery-no-swaps-poisson-0.5": (
+        "f626d4229e0c68d19a3d9c0c7e4d30bd72de196ccd9aad6d9bde3ea4845d9d36"
+    ),
+    "device-battery-no-swaps-deterministic-1.0": (
+        "42beefdbcf79732fa82d203a1fab5d695461681057d29a8689552e00ec2c1c60"
+    ),
+    "device-battery-no-swaps-deterministic-0.5": (
+        "01af3efa4fc501bfff7460eea6c2e7344a55a4910101fb97d24e58564ba23074"
+    ),
+    "device-no-battery-poisson-1.0": (
+        "573bea72025e658c72d6bc551342c3196108ef79759ad84a0c00dc4c272226e0"
+    ),
+    "device-no-battery-poisson-0.5": (
+        "e968a03ea73506050107d57dd97bf6cabbb4a0fcd18eee926aeef4b20bcbf2e7"
+    ),
+    "device-no-battery-deterministic-1.0": (
+        "897c765a14a68bb70f02bc7d7fa19fb09c029dc5868081ddb3d580d36b03bc6e"
+    ),
+    "device-no-battery-deterministic-0.5": (
+        "6a0b3ab6e591f6a8d50f15c3012c11884088f3241fe3c47123b7bbaeb53c32fa"
+    ),
+    "bucket-battery-swaps-poisson-1.0": (
+        "fb2c03364072ee9097511af5fd0a0627c1e34592bd84bd047114d7fa03d011d7"
+    ),
+    "bucket-battery-swaps-poisson-0.5": (
+        "39a9028cebc654a34eb43c506b1ccb2d6b465e61449eb59899dce2996f0205c1"
+    ),
+    "bucket-battery-swaps-deterministic-1.0": (
+        "edb79a77d4c5b2c446e4cdb96d52ca9b22867e837d79177a8827575daad3038c"
+    ),
+    "bucket-battery-swaps-deterministic-0.5": (
+        "543ac263d197b76ea5c399706a5ce89f2f185d770be137307f303ae43a065dff"
+    ),
+    "bucket-battery-no-swaps-poisson-1.0": (
+        "a76b2b2548e13d12993a5d1670b34380b9ef2951630d96c6c905fb6c6f9941eb"
+    ),
+    "bucket-battery-no-swaps-poisson-0.5": (
+        "9b349e32769e077fd0b13f26da7de70c09103ce548996b56ffb771f572371d0d"
+    ),
+    "bucket-battery-no-swaps-deterministic-1.0": (
+        "70e4b3fee6c821037c8200d739bb206a2e20458a2d2c7067430de3af64be7938"
+    ),
+    "bucket-battery-no-swaps-deterministic-0.5": (
+        "79d405902ca2c28ce696e7b98c26685deb35cbd29da9895dc9c1fc9ec3c9c5dd"
+    ),
+    "bucket-no-battery-poisson-1.0": (
+        "96beda76039dc5fe1082477e9e397bfde6bf86111ba0c7e45e59fcbaa1a60de6"
+    ),
+    "bucket-no-battery-poisson-0.5": (
+        "3fd8972c4a67a6b740e3fabc956df03e80c9d269794a152659522531cb3fac00"
+    ),
+    "bucket-no-battery-deterministic-1.0": (
+        "bcda4c551f3254f4ed0f65d47566cd1350f2c065aedc290c396509017d1a64a3"
+    ),
+    "bucket-no-battery-deterministic-0.5": (
+        "89b0db522d37be7d34987a7a3094011e32e44809ccfb48c15ce85b7998fd8407"
+    ),
+}
+
+
+def trajectory_digest(sampler, device, intake, dt_days):
+    cohort = cohort_class_for_sampler(sampler)(
+        NO_BATTERY_PIXEL if device == "no-battery" else FAST_WEAR_PIXEL,
+        ReplacementPolicy(
+            target_size=300,
+            swap_batteries=device == "battery-swaps",
+            max_battery_swaps=1,
+        ),
+        intake=IntakeStream(
+            arrivals_per_day=3.0,
+            initial_spares=20,
+            poisson=intake == "poisson",
+        ),
+        failure_model=FailureModel(),
+        seed=7,
+    )
+    sha = hashlib.sha256()
+    for _ in range(int(120 / dt_days)):
+        step = cohort.step(dt_days, utilization=0.9)
+        record = dataclasses.astuple(step) + (
+            cohort.mean_age_days(),
+            cohort.mean_battery_wear(),
+        )
+        sha.update(repr(record).encode())
+    return sha.hexdigest()
+
+
+class TestPinnedTrajectories:
+    """Each engine's exact trajectory is pinned, not only self-consistent."""
+
+    @pytest.mark.parametrize("sampler", CHURN_SAMPLERS)
+    @pytest.mark.parametrize(
+        "case", PINNED_GRID, ids=["-".join(map(str, c)) for c in PINNED_GRID]
+    )
+    def test_trajectory_matches_pinned_digest(self, sampler, case):
+        key = "-".join([sampler, *map(str, case)])
+        assert trajectory_digest(sampler, *case) == PINNED_DIGESTS[key]
 
 
 class TestBucketDeterminism:

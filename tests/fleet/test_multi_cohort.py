@@ -21,7 +21,6 @@ from repro.fleet import (
     CarbonBufferDispatch,
     DeviceCohort,
     DiurnalDemand,
-    FleetPopulation,
     FleetSimulation,
     FleetSite,
     GreedyLowestIntensityRouting,
@@ -295,36 +294,23 @@ class TestPerCohortChurn:
 
     def test_cohort_streams_are_independent(self):
         """Re-seeding cohort B never consumes cohort A's random draws."""
-        def population(b_seed):
+        def cohorts(b_seed):
             a = DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=50), seed=5)
             b = DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=50), seed=b_seed)
-            return FleetPopulation([a, b])
+            return a, b
 
-        first = population(b_seed=1)
-        second = population(b_seed=99)
+        first = cohorts(b_seed=1)
+        second = cohorts(b_seed=99)
         for _ in range(30):
-            first.step_all(1.0, [0.5, 0.5])
-            second.step_all(1.0, [0.5, 0.5])
-        a_first, a_second = first.cohorts[0], second.cohorts[0]
+            for cohort in (*first, *second):
+                cohort.step(1.0, utilization=0.5)
+        a_first, a_second = first[0], second[0]
         assert [s.failures for s in a_first.history] == [
             s.failures for s in a_second.history
         ]
         assert [s.active for s in a_first.history] == [
             s.active for s in a_second.history
         ]
-
-    def test_population_aggregates(self):
-        pop = FleetPopulation([
-            DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=10), seed=0),
-            DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=20), seed=1),
-        ])
-        assert pop.active_count == 30
-        assert pop.target_size == 30
-        assert len(pop) == 2
-        with pytest.raises(ValueError, match="utilisations"):
-            pop.step_all(1.0, [0.5])
-        with pytest.raises(ValueError, match="at least one cohort"):
-            FleetPopulation([])
 
 
 # ---------------------------------------------------------------------------
