@@ -1018,33 +1018,21 @@ def main(argv=None) -> int:
             progress_arg=args.progress,
             audit=args.audit,
         )
-    if args.overrides:
-        print("--set only applies to scenario runs (python -m repro run scenario <name>)")
-        return 2
-    if args.telemetry:
-        print(
-            "--telemetry only applies to scenario runs "
-            "(python -m repro run scenario <name> --telemetry out.jsonl)"
-        )
-        return 2
-    if args.store_dir:
-        print(
-            "--store only applies to scenario runs "
-            "(python -m repro run scenario <name> --store DIR)"
-        )
-        return 2
-    if args.progress is not None:
-        print(
-            "--progress only applies to scenario runs "
-            "(python -m repro run scenario <name> --progress)"
-        )
-        return 2
-    if args.audit:
-        print(
-            "--audit only applies to scenario runs "
-            "(python -m repro run scenario <name> --audit)"
-        )
-        return 2
+    # Flags that only mean something for a scenario run, with the usage
+    # hint each rejection prints.
+    for flag, given, usage in (
+        ("--set", bool(args.overrides), ""),
+        ("--telemetry", bool(args.telemetry), " --telemetry out.jsonl"),
+        ("--store", bool(args.store_dir), " --store DIR"),
+        ("--progress", args.progress is not None, " --progress"),
+        ("--audit", args.audit, " --audit"),
+    ):
+        if given:
+            print(
+                f"{flag} only applies to scenario runs "
+                f"(python -m repro run scenario <name>{usage})"
+            )
+            return 2
     return _run_targets(args.targets)
 
 

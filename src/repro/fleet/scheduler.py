@@ -68,6 +68,18 @@ SERVICE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
 
 #: Hours per scheduling timestep of the vectorized path.
 HOURS_PER_STEP = 1.0
+#: Scheduling timesteps per simulated day.
+STEPS_PER_DAY = int(round(24.0 / HOURS_PER_STEP))
+#: Seconds per scheduling timestep.
+STEP_S = HOURS_PER_STEP * units.SECONDS_PER_HOUR
+
+#: Absolute tolerance (requests/s) by which a policy's allocation may
+#: undershoot zero or overshoot segment capacity and demand; the invariant
+#: audit checks the same bound.
+ALLOC_TOL_RPS = 1e-6
+#: Shortfall (joules) above which a dispatch hour counts as a clipped
+#: setpoint, here and in the invariant audit's recount.
+CLIP_TOL_J = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +283,45 @@ def policy_by_name(name: str, wear_derate: float = 0.0) -> RoutingPolicy:
 # ---------------------------------------------------------------------------
 
 
+#: The churn columns Pass A records per cohort-day, named as the
+#: :class:`~repro.fleet.population.CohortStep` fields they copy.
+_CHURN_FIELDS = (
+    "active",
+    "replacement_carbon_g",
+    "battery_swaps",
+    "failures",
+    "deployed",
+    "retirements",
+)
+
+
+class _PassA:
+    """Everything Pass A records for Pass B, as whole-run matrices.
+
+    ``demand`` is ``(n_steps,)``; the per-pack grid ``intensity``, the
+    routed ``alloc`` and the physical ``utilization`` are ``(n_steps,
+    n_cohorts)``.  ``counts_day`` — each cohort's device count at the start
+    of each day, before churn moves it — and the :data:`_CHURN_FIELDS`
+    columns are ``(n_days, n_cohorts)``.
+    """
+
+    def __init__(self, n_days: int, n_cohorts: int) -> None:
+        n_steps = n_days * STEPS_PER_DAY
+        self.n_days = n_days
+        self.demand = np.empty(n_steps)
+        self.intensity = np.empty((n_steps, n_cohorts))
+        self.alloc = np.empty((n_steps, n_cohorts))
+        self.utilization = np.empty((n_steps, n_cohorts))
+        daily = (n_days, n_cohorts)
+        self.counts_day = np.zeros(daily, dtype=np.int64)
+        self.active = np.zeros(daily, dtype=np.int64)
+        self.replacement_carbon_g = np.zeros(daily)
+        self.battery_swaps = np.zeros(daily, dtype=np.int64)
+        self.failures = np.zeros(daily, dtype=np.int64)
+        self.deployed = np.zeros(daily, dtype=np.int64)
+        self.retirements = np.zeros(daily, dtype=np.int64)
+
+
 class FleetSimulation:
     """Couples hourly carbon-aware routing with daily device-churn dynamics.
 
@@ -290,16 +341,17 @@ class FleetSimulation:
     baseline) and the grid/battery/charge series degenerate to
     ``grid == energy``, ``battery == charge == 0``, ``soc == 1``.
 
-    Execution is two-pass.  Pass A is the irreducibly serial day loop:
-    capacity follows churn and churn follows realised utilisation, so
-    allocation and population stepping must alternate day by day — but the
-    purely time-indexed inputs (demand series, grid intensities, marginal
-    CCI) are precomputed once for the whole run (bitwise-identical to
-    per-day calls: they are elementwise functions of exactly representable
-    hour indices).  Pass B replays the entire dispatch timeline afterwards
-    from what Pass A recorded, through the ledger's
+    :meth:`run` is two passes over one record of whole-run matrices.
+    :meth:`pass_a` is the irreducibly serial day loop: capacity follows
+    churn and churn follows realised utilisation, so allocation and
+    population stepping must alternate day by day — but the purely
+    time-indexed inputs (demand series, grid intensities, marginal CCI)
+    are precomputed once for the whole run (bitwise-identical to per-day
+    calls: they are elementwise functions of exactly representable hour
+    indices).  :meth:`pass_b` then does the energy accounting, replays the
+    entire dispatch timeline from what Pass A recorded through the ledger's
     :meth:`~repro.fleet.dispatch.EnergyLedger.step_block` (see
-    :mod:`repro.fleet.execution`).
+    :mod:`repro.fleet.execution`), and assembles the report.
     """
 
     def __init__(
@@ -357,53 +409,29 @@ class FleetSimulation:
         """Simulate ``n_days`` of virtual time and return the fleet report."""
         if n_days <= 0:
             raise ValueError("n_days must be positive")
-        n_sites = len(self.sites)
-        n_cohorts = len(self.segments)
-        hours_per_day = int(round(24.0 / HOURS_PER_STEP))
-        step_s = HOURS_PER_STEP * units.SECONDS_PER_HOUR
-        n_steps = n_days * hours_per_day
+        return self.pass_b(self.pass_a(n_days))
 
-        # Pass A recordings: what the deferred dispatch replay will consume.
-        alloc_all = np.empty((n_steps, n_cohorts))
-        demand_all = np.empty(n_steps)
-        intensity_packs = np.empty((n_steps, n_cohorts))
-        utilization_all = np.empty((n_steps, n_cohorts))
-        counts_day = np.zeros((n_days, n_cohorts), dtype=np.int64)
+    def pass_a(self, n_days: int) -> _PassA:
+        """Pass A: the serial day loop, recording what Pass B consumes.
 
-        active = np.zeros((n_days, n_sites), dtype=np.int64)
-        replacement_g = np.zeros((n_days, n_sites))
-        battery_swaps = np.zeros((n_days, n_sites), dtype=np.int64)
-        failures = np.zeros((n_days, n_sites), dtype=np.int64)
-        deployed = np.zeros((n_days, n_sites), dtype=np.int64)
-        cohort_active = np.zeros((n_days, n_cohorts), dtype=np.int64)
-        cohort_replacement_g = np.zeros((n_days, n_cohorts))
-        cohort_swaps = np.zeros((n_days, n_cohorts), dtype=np.int64)
-        cohort_failures = np.zeros((n_days, n_cohorts), dtype=np.int64)
-        cohort_deployed = np.zeros((n_days, n_cohorts), dtype=np.int64)
-        cohort_retirements = np.zeros((n_days, n_cohorts), dtype=np.int64)
-
+        Allocation and churn are irreducibly day-sequential (capacity for
+        day d+1 depends on churn at day d, churn depends on realised
+        utilisation), but the time-indexed inputs hoist: one precompute
+        covers demand, intensity, and marginal CCI for the whole run.
+        """
         tele = self.telemetry
-
-        # -- Pass A: the serial coordinator loop ---------------------------
-        # Allocation and churn are irreducibly day-sequential (capacity for
-        # day d+1 depends on churn at day d, churn depends on realised
-        # utilisation), but the time-indexed inputs hoist: one precompute
-        # covers demand, intensity, and marginal CCI for the whole run
-        # (calls=0: setup time folds into the phase without inflating its
-        # invocation count).
+        record = _PassA(n_days, len(self.segments))
+        # calls=0: setup time folds into the phase without inflating its
+        # invocation count.
         with tele.span("allocate_day", calls=0):
-            marginal_all = self._precompute(demand_all, intensity_packs, step_s)
+            marginal_all = self._precompute(record.demand, record.intensity)
         for day in range(n_days):
-            rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
+            rows = slice(day * STEPS_PER_DAY, (day + 1) * STEPS_PER_DAY)
             with tele.span("allocate_day"):
                 alloc = self._allocate_day(
-                    hours_per_day,
-                    step_s,
-                    demand_all[rows],
-                    intensity_packs[rows],
-                    marginal_all[rows],
+                    record.demand[rows], record.intensity[rows], marginal_all[rows]
                 )
-            alloc_all[rows] = alloc
+            record.alloc[rows] = alloc
             if tele.enabled:
                 # "Segments touched": (hour, segment) cells the waterfill
                 # actually routed load through this day.
@@ -412,25 +440,16 @@ class FleetSimulation:
                 )
             # Day-start counts — what the legacy per-day loop's live capability
             # reads saw — recorded before churn moves them.
-            counts_day[day] = [entry.cohort.active_count for _, entry in self.segments]
+            record.counts_day[day] = [
+                entry.cohort.active_count for _, entry in self.segments
+            ]
 
             # Daily population step at the realised utilisation; the same
             # matrix feeds dispatch idle headroom in Pass B.
             with tele.span("step_population"):
                 utilization = self._physical_utilization(alloc)
-                day_step = self._step_population(utilization)
-            utilization_all[rows] = utilization
-            cohort_active[day] = day_step["active"]
-            cohort_replacement_g[day] = day_step["replacement_carbon_g"]
-            cohort_swaps[day] = day_step["battery_swaps"]
-            cohort_failures[day] = day_step["failures"]
-            cohort_deployed[day] = day_step["deployed"]
-            cohort_retirements[day] = day_step["retirements"]
-            active[day] = self._per_site(day_step["active"])
-            replacement_g[day] = self._per_site(day_step["replacement_carbon_g"])
-            battery_swaps[day] = self._per_site(day_step["battery_swaps"])
-            failures[day] = self._per_site(day_step["failures"])
-            deployed[day] = self._per_site(day_step["deployed"])
+                self._step_population(utilization, record, day)
+            record.utilization[rows] = utilization
 
         if tele.enabled:
             # Which churn engine stepped this run, and how many distinct
@@ -445,188 +464,189 @@ class FleetSimulation:
                 "churn.buckets_peak",
                 max(entry.cohort.buckets_peak for _, entry in self.segments),
             )
+        return record
 
-        # -- Pass B: whole-run vectorized reductions and dispatch replay ---
-        cohort_served = alloc_all
-        served = self._per_site(alloc_all)
-        dropped = demand_all - alloc_all.sum(axis=1)
-        intensity_all = intensity_packs[:, self._site_starts]
+    def pass_b(self, record: _PassA) -> FleetReport:
+        """Pass B: energy accounting, dispatch replay and the fleet report.
+
+        Whole-run vectorized over the :meth:`pass_a` record.  Without a
+        dispatch policy the packs neither charge nor discharge and stay
+        full, so the site series go through the same aggregation as a
+        dispatched run's.
+        """
+        tele = self.telemetry
+        n_days = record.n_days
+        count_rows = np.repeat(record.counts_day, STEPS_PER_DAY, axis=0)
 
         # Device energy each cohort needs per hour; site wall energy adds
         # the (never battery-backed) peripheral draw once per site.
         peripheral_kwh = np.array(
             [site.peripheral_power_w for site in self.sites]
-        ) * (step_s / units.JOULES_PER_KWH)
+        ) * (STEP_S / units.JOULES_PER_KWH)
         with tele.span("site_energy_kwh", calls=n_days):
-            device_kwh = self._cohort_energy_kwh(
-                alloc_all, counts_day, hours_per_day, step_s
-            )
-        cohort_energy_kwh = device_kwh
-        total_kwh = self._per_site(device_kwh) + peripheral_kwh
+            power_w = np.empty_like(record.alloc)
+            for j, (_, entry) in enumerate(self.segments):
+                power_w[:, j] = entry.device_power_w_at(
+                    count_rows[:, j], record.alloc[:, j]
+                )
+            device_kwh = power_w * STEP_S / units.JOULES_PER_KWH
 
+        capacity_day, charge_rate_day = pack_capabilities(
+            self.segments, record.counts_day
+        )
         clipped_setpoints = 0
         clipped_energy_kwh = 0.0
         shortfall_j = None
         if self.dispatch is None:
-            cohort_grid_kwh = device_kwh
-            cohort_battery_kwh = np.zeros((n_steps, n_cohorts))
-            cohort_charge_kwh = np.zeros((n_steps, n_cohorts))
-            cohort_soc = np.ones((n_steps, n_cohorts))
-            grid_kwh = total_kwh
-            battery_kwh = np.zeros((n_steps, n_sites))
-            charge_kwh = np.zeros((n_steps, n_sites))
-            soc = np.ones((n_steps, n_sites))
-            energy_kwh_all = total_kwh
+            battery_j = charge_j = np.zeros_like(device_kwh)
+            pack_soc = np.ones_like(device_kwh)
         else:
-            # Idle headroom is physical: a device the routing derate shed
-            # is sitting idle and can charge.
-            idle_fraction = 1.0 - utilization_all
-            device_j = device_kwh * units.JOULES_PER_KWH
-            capacity_day, charge_rate_day = pack_capabilities(
-                self.segments, counts_day
-            )
             with tele.span("dispatch_day", calls=n_days):
-                (
-                    battery_j,
-                    charge_j,
-                    pack_soc,
-                    shortfall_j,
-                ) = execute_dispatch(
+                battery_j, charge_j, pack_soc, shortfall_j = execute_dispatch(
                     self.sites,
                     self.dispatch,
-                    intensity_packs,
-                    device_j,
-                    idle_fraction,
-                    counts_day,
+                    record.intensity,
+                    device_kwh * units.JOULES_PER_KWH,
+                    # Idle headroom is physical: a device the routing
+                    # derate shed is sitting idle and can charge.
+                    1.0 - record.utilization,
+                    record.counts_day,
                     capacity_day,
                     charge_rate_day,
-                    step_s,
+                    STEP_S,
                 )
-            cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
-            cohort_charge_kwh = charge_j / units.JOULES_PER_KWH
-            cohort_soc = pack_soc
-            cohort_grid_kwh = device_kwh - cohort_battery_kwh
-            battery_kwh = self._per_site(cohort_battery_kwh)
-            charge_kwh = self._per_site(cohort_charge_kwh)
-            soc = self._site_soc(
-                pack_soc, np.repeat(capacity_day, hours_per_day, axis=0)
-            )
-            grid_kwh = total_kwh - battery_kwh
-            energy_kwh_all = grid_kwh + charge_kwh
             clipped_setpoints, clipped_energy_kwh = self._clip_accounting(
-                shortfall_j, hours_per_day
+                shortfall_j
             )
-
-        # Operational carbon follows the wall energy the meter saw.
-        operational_g = energy_kwh_all * intensity_all
-
-        if tele.enabled and self.dispatch is not None:
-            tele.count("dispatch.clipped_setpoints", clipped_setpoints)
-            tele.count("dispatch.clipped_kwh", clipped_energy_kwh)
-            tele.count(
-                "dispatch.fallback_pack_days",
-                getattr(self.dispatch, "fallback_pack_days", 0),
-            )
-
-        if self.audit:
-            from repro.telemetry.observatory.audit import audit_fleet_run
-
-            with tele.span("audit"):
-                self.audit_report = audit_fleet_run(
-                    alloc=alloc_all,
-                    demand=demand_all,
-                    capacity_rows=self._physical_capacity_rows(
-                        counts_day, hours_per_day
-                    ),
-                    energy_kwh=energy_kwh_all,
-                    grid_kwh=grid_kwh,
-                    battery_kwh=battery_kwh,
-                    charge_kwh=charge_kwh,
-                    total_kwh=total_kwh,
-                    cohort_energy_kwh=cohort_energy_kwh,
-                    cohort_grid_kwh=cohort_grid_kwh,
-                    cohort_battery_kwh=cohort_battery_kwh,
-                    cohort_charge_kwh=cohort_charge_kwh,
-                    cohort_soc=cohort_soc,
-                    min_soc=(
-                        getattr(self.dispatch, "min_state_of_charge", None)
-                        if self.dispatch is not None
-                        else None
-                    ),
-                    shortfall_j=shortfall_j,
-                    clipped_setpoints=clipped_setpoints,
-                    clipped_energy_kwh=clipped_energy_kwh,
-                    cohort_counts_day=counts_day,
-                    cohort_active=cohort_active,
-                    cohort_failures=cohort_failures,
-                    cohort_retirements=cohort_retirements,
-                    cohort_swaps_day=cohort_swaps,
-                    cohort_deployed=cohort_deployed,
-                    cohort_replacement_g=cohort_replacement_g,
-                    cohort_swap_embodied_g=np.array(
-                        [
-                            units.kg_to_grams(
-                                entry.device.battery.embodied_carbon_kgco2e
-                            )
-                            if entry.device.battery is not None
-                            else 0.0
-                            for _, entry in self.segments
-                        ]
-                    ),
-                    telemetry=tele if tele.enabled else None,
+            if tele.enabled:
+                tele.count("dispatch.clipped_setpoints", clipped_setpoints)
+                tele.count("dispatch.clipped_kwh", clipped_energy_kwh)
+                tele.count(
+                    "dispatch.fallback_pack_days",
+                    getattr(self.dispatch, "fallback_pack_days", 0),
                 )
 
-        return FleetReport(
+        cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
+        cohort_charge_kwh = charge_j / units.JOULES_PER_KWH
+        total_kwh = self._per_site(device_kwh) + peripheral_kwh
+        battery_kwh = self._per_site(cohort_battery_kwh)
+        charge_kwh = self._per_site(cohort_charge_kwh)
+        grid_kwh = total_kwh - battery_kwh
+        # The meter sees grid serving plus grid charging; operational
+        # carbon follows that wall energy.
+        energy_kwh = grid_kwh + charge_kwh
+        intensity = record.intensity[:, self._site_starts]
+        cohort_target = np.array([entry.target_size for _, entry in self.segments])
+
+        report = FleetReport(
             policy_name=self.policy.name,
             site_names=tuple(site.name for site in self.sites),
-            hours=np.arange(n_steps, dtype=float) * HOURS_PER_STEP,
-            served_rps=served,
-            dropped_rps=dropped,
-            operational_g=operational_g,
-            intensity_g_per_kwh=intensity_all,
+            hours=np.arange(len(record.demand), dtype=float) * HOURS_PER_STEP,
+            served_rps=self._per_site(record.alloc),
+            dropped_rps=record.demand - record.alloc.sum(axis=1),
+            operational_g=energy_kwh * intensity,
+            intensity_g_per_kwh=intensity,
             days=np.arange(1, n_days + 1, dtype=float),
-            active_devices=active,
-            target_devices=np.array(
-                [
-                    sum(entry.target_size for entry in site.cohorts)
-                    for site in self.sites
-                ]
-            ),
-            replacement_carbon_g=replacement_g,
-            battery_swaps=battery_swaps,
-            failures=failures,
-            deployed=deployed,
-            step_s=step_s,
-            energy_kwh=energy_kwh_all,
+            active_devices=self._per_site(record.active),
+            target_devices=self._per_site(cohort_target),
+            replacement_carbon_g=self._per_site(record.replacement_carbon_g),
+            battery_swaps=self._per_site(record.battery_swaps),
+            failures=self._per_site(record.failures),
+            deployed=self._per_site(record.deployed),
+            step_s=STEP_S,
+            energy_kwh=energy_kwh,
             grid_kwh=grid_kwh,
             battery_kwh=battery_kwh,
             charge_kwh=charge_kwh,
-            soc=soc,
+            soc=self._site_soc(
+                pack_soc, np.repeat(capacity_day, STEPS_PER_DAY, axis=0)
+            ),
             cohort_labels=tuple(
                 label for site in self.sites for label in site.cohort_labels()
             ),
             cohort_site_index=self._segment_site.copy(),
-            cohort_target=np.array(
-                [entry.target_size for _, entry in self.segments]
-            ),
-            cohort_served_rps=cohort_served,
-            cohort_energy_kwh=cohort_energy_kwh,
-            cohort_grid_kwh=cohort_grid_kwh,
+            cohort_target=cohort_target,
+            cohort_served_rps=record.alloc,
+            cohort_energy_kwh=device_kwh,
+            cohort_grid_kwh=device_kwh - cohort_battery_kwh,
             cohort_battery_kwh=cohort_battery_kwh,
             cohort_charge_kwh=cohort_charge_kwh,
-            cohort_soc=cohort_soc,
-            cohort_active=cohort_active,
-            cohort_replacement_carbon_g=cohort_replacement_g,
-            cohort_battery_swaps=cohort_swaps,
-            cohort_failures=cohort_failures,
-            cohort_deployed=cohort_deployed,
+            cohort_soc=pack_soc,
+            cohort_active=record.active,
+            cohort_replacement_carbon_g=record.replacement_carbon_g,
+            cohort_battery_swaps=record.battery_swaps,
+            cohort_failures=record.failures,
+            cohort_deployed=record.deployed,
             clipped_setpoints=clipped_setpoints,
             clipped_energy_kwh=clipped_energy_kwh,
         )
+        if self.audit:
+            self.audit_report = self._audit(record, report, total_kwh, shortfall_j)
+        return report
+
+    def _audit(
+        self,
+        record: _PassA,
+        report: FleetReport,
+        total_kwh: np.ndarray,
+        shortfall_j: Optional[np.ndarray],
+    ):
+        """Run the invariant audit over one finished run's matrices.
+
+        The capacity rows come from the recorded day-start counts — the
+        same counts the allocation saw — so the feasibility check compares
+        against the capacity that actually applied, not today's live
+        population.
+        """
+        from repro.telemetry.observatory.audit import audit_fleet_run
+
+        with self.telemetry.span("audit"):
+            capacity_day = np.column_stack(
+                [
+                    entry.capacity_rps_at(record.counts_day[:, j])
+                    for j, (_, entry) in enumerate(self.segments)
+                ]
+            )
+            swap_embodied_g = np.array(
+                [
+                    units.kg_to_grams(entry.device.battery.embodied_carbon_kgco2e)
+                    if entry.device.battery is not None
+                    else 0.0
+                    for _, entry in self.segments
+                ]
+            )
+            return audit_fleet_run(
+                alloc=record.alloc,
+                demand=record.demand,
+                capacity_rows=np.repeat(capacity_day, STEPS_PER_DAY, axis=0),
+                energy_kwh=report.energy_kwh,
+                grid_kwh=report.grid_kwh,
+                battery_kwh=report.battery_kwh,
+                charge_kwh=report.charge_kwh,
+                total_kwh=total_kwh,
+                cohort_energy_kwh=report.cohort_energy_kwh,
+                cohort_grid_kwh=report.cohort_grid_kwh,
+                cohort_battery_kwh=report.cohort_battery_kwh,
+                cohort_charge_kwh=report.cohort_charge_kwh,
+                cohort_soc=report.cohort_soc,
+                min_soc=getattr(self.dispatch, "min_state_of_charge", None),
+                shortfall_j=shortfall_j,
+                clipped_setpoints=report.clipped_setpoints,
+                clipped_energy_kwh=report.clipped_energy_kwh,
+                cohort_counts_day=record.counts_day,
+                cohort_active=record.active,
+                cohort_failures=record.failures,
+                cohort_retirements=record.retirements,
+                cohort_swaps_day=record.battery_swaps,
+                cohort_deployed=record.deployed,
+                cohort_replacement_g=record.replacement_carbon_g,
+                cohort_swap_embodied_g=swap_embodied_g,
+                telemetry=self.telemetry if self.telemetry.enabled else None,
+            )
 
     # -- per-day phases ----------------------------------------------------
 
-    def _precompute(self, demand: np.ndarray, intensity: np.ndarray, step_s: float):
+    def _precompute(self, demand: np.ndarray, intensity: np.ndarray) -> np.ndarray:
         """Fill the whole run's demand and per-pack intensity; return marginal CCI.
 
         All three depend only on the hour index — never on live population
@@ -635,7 +655,7 @@ class FleetSimulation:
         this is bitwise-identical to per-day calls.
         """
         n_hours = demand.shape[0]
-        times_s = np.arange(n_hours) * step_s
+        times_s = np.arange(n_hours) * STEP_S
         demand[:] = self.demand.series(n_hours)
         marginal = np.empty_like(intensity)
         site_intensity: Dict[int, np.ndarray] = {}
@@ -648,12 +668,7 @@ class FleetSimulation:
         return marginal
 
     def _allocate_day(
-        self,
-        hours_per_day: int,
-        step_s: float,
-        demand_rps: np.ndarray,
-        intensity: np.ndarray,
-        marginal: np.ndarray,
+        self, demand_rps: np.ndarray, intensity: np.ndarray, marginal: np.ndarray
     ) -> np.ndarray:
         """Phase 1: route one day of hourly demand across the live segments.
 
@@ -662,7 +677,7 @@ class FleetSimulation:
         phase cannot hoist with the whole-run precompute that feeds it.
         """
         n_cohorts = len(self.segments)
-        capacity = np.empty((hours_per_day, n_cohorts))
+        capacity = np.empty((STEPS_PER_DAY, n_cohorts))
         for j, (_, entry) in enumerate(self.segments):
             capacity[:, j] = self.policy.cohort_capacity_rps(entry)
         alloc = self.policy.allocate(demand_rps, capacity, intensity, marginal)
@@ -674,58 +689,11 @@ class FleetSimulation:
             physical = sum(entry.capacity_rps for _, entry in self.segments)
             withheld_rps = max(0.0, physical - float(capacity[0].sum()))
             self.telemetry.count(
-                "routing.wear_shed_requests", withheld_rps * hours_per_day * step_s
+                "routing.wear_shed_requests", withheld_rps * STEPS_PER_DAY * STEP_S
             )
         return alloc
 
-    def _cohort_energy_kwh(
-        self,
-        alloc: np.ndarray,
-        counts_day: np.ndarray,
-        hours_per_day: int,
-        step_s: float,
-    ) -> np.ndarray:
-        """Device-only energy (kWh) each cohort needs per hour, whole run.
-
-        The vectorized twin of per-day
-        :meth:`~repro.fleet.sites.SiteCohort.device_power_w` calls: idle
-        floor follows the recorded day-start counts, each served request
-        adds its dynamic energy.  Same per-element expression, so bitwise-
-        identical to the historical per-day column loop.
-        """
-        if np.any(alloc < 0):
-            raise ValueError("served rate must be non-negative")
-        idle_w = np.array([entry.idle_power_w for _, entry in self.segments])
-        dynamic_j = np.array(
-            [entry.dynamic_energy_per_request_j for _, entry in self.segments]
-        )
-        counts_rows = np.repeat(
-            counts_day.astype(float), hours_per_day, axis=0
-        )
-        power_w = counts_rows * idle_w[None, :] + alloc * dynamic_j[None, :]
-        return power_w * step_s / units.JOULES_PER_KWH
-
-    def _physical_capacity_rows(
-        self, counts_day: np.ndarray, hours_per_day: int
-    ) -> np.ndarray:
-        """Per-``(hour, segment)`` physical request capacity (requests/s).
-
-        Rebuilt from the recorded day-start counts — the same counts the
-        allocation saw — so the audit's feasibility check compares against
-        the capacity that actually applied, not today's live population.
-        """
-        n_days = counts_day.shape[0]
-        capacity_day = np.empty((n_days, len(self.segments)))
-        for j, (_, entry) in enumerate(self.segments):
-            for day in range(n_days):
-                capacity_day[day, j] = entry.capacity_rps_at(
-                    int(counts_day[day, j])
-                )
-        return np.repeat(capacity_day, hours_per_day, axis=0)
-
-    def _clip_accounting(
-        self, shortfall_j: np.ndarray, hours_per_day: int
-    ) -> Tuple[int, float]:
+    def _clip_accounting(self, shortfall_j: np.ndarray) -> Tuple[int, float]:
         """Clipped-setpoint count and clipped energy (kWh) from the replay.
 
         *Clipped setpoints* are hours where the policy asked a pack to
@@ -738,14 +706,13 @@ class FleetSimulation:
         exactly: masked joule sums per hot hour in hour order, one kWh
         conversion per day in day order.
         """
-        clip_tol_j = 1e-9
-        infeasible = shortfall_j > clip_tol_j
+        infeasible = shortfall_j > CLIP_TOL_J
         hot_rows = np.nonzero(infeasible.any(axis=1))[0]
-        n_days = shortfall_j.shape[0] // hours_per_day
+        n_days = shortfall_j.shape[0] // STEPS_PER_DAY
         day_counts = [0] * n_days
         day_joules = [0.0] * n_days
         for row in hot_rows:
-            day = int(row) // hours_per_day
+            day = int(row) // STEPS_PER_DAY
             mask = infeasible[row]
             day_counts[day] += int(np.count_nonzero(mask))
             day_joules[day] += float(shortfall_j[row][mask].sum())
@@ -832,38 +799,28 @@ class FleetSimulation:
             util = np.where(physical > 0, alloc / physical, 0.0)
         return np.clip(util, 0.0, 1.0)
 
-    def _step_population(self, utilization: np.ndarray) -> Dict[str, np.ndarray]:
+    def _step_population(
+        self, utilization: np.ndarray, record: _PassA, day: int
+    ) -> None:
         """Phase 4: one day of churn per cohort at its realised utilisation.
 
         Takes the day's ``(hours, segment)`` utilisation matrix directly so
         the caller can share one :meth:`_physical_utilization` pass between
-        churn and the recorded dispatch idle headroom.
+        churn and the recorded dispatch idle headroom, and writes each
+        cohort's :class:`~repro.fleet.population.CohortStep` into the
+        record's ``day`` row.
         """
-        n_cohorts = len(self.segments)
-        out = {
-            "active": np.zeros(n_cohorts, dtype=np.int64),
-            "replacement_carbon_g": np.zeros(n_cohorts),
-            "battery_swaps": np.zeros(n_cohorts, dtype=np.int64),
-            "failures": np.zeros(n_cohorts, dtype=np.int64),
-            "deployed": np.zeros(n_cohorts, dtype=np.int64),
-            "retirements": np.zeros(n_cohorts, dtype=np.int64),
-        }
         for j, (_, entry) in enumerate(self.segments):
             mean_util = float(np.mean(utilization[:, j]))
             step = entry.cohort.step(1.0, utilization=mean_util)
-            out["active"][j] = step.active
-            out["replacement_carbon_g"][j] = step.replacement_carbon_g
-            out["battery_swaps"][j] = step.battery_swaps
-            out["failures"][j] = step.failures
-            out["deployed"][j] = step.deployed
-            out["retirements"][j] = step.retirements
-        return out
+            for name in _CHURN_FIELDS:
+                getattr(record, name)[day, j] = getattr(step, name)
 
     @staticmethod
     def _validate_allocation(
         alloc: np.ndarray, demand: np.ndarray, capacity: np.ndarray
     ) -> None:
-        tol = 1e-6
+        tol = ALLOC_TOL_RPS
         if np.any(alloc < -tol):
             raise ValueError("policy produced a negative allocation")
         if np.any(alloc > capacity + tol):

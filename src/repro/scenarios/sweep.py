@@ -276,7 +276,6 @@ def _fold_sweep_telemetry(
 def _run_cells(
     specs: Sequence[ScenarioSpec],
     jobs: Optional[int],
-    share_hindsight: bool = True,
     telemetry: Optional[Telemetry] = None,
     store: Optional[Any] = None,
     progress: Optional[Any] = None,
@@ -285,10 +284,9 @@ def _run_cells(
 
     Cells are keyed by spec hash either way: cells that hash equal share one
     simulation, and results are reassembled in grid order, so the serial and
-    parallel paths return identical tables.  With ``share_hindsight`` (the
-    default), forecast cells that share a forecast-stripped twin run one
-    hindsight simulation per group instead of one per cell — results are
-    bitwise-identical either way.
+    parallel paths return identical tables.  Forecast cells that share a
+    forecast-stripped twin run one hindsight simulation per group instead
+    of one per cell — results are bitwise-identical to per-cell twins.
 
     With an enabled ``telemetry``, each unique simulation is instrumented
     (workers ship their manifests back), per-cell manifests become the
@@ -315,14 +313,13 @@ def _run_cells(
 
     twin_keys: Dict[str, str] = {}
     twins: Dict[str, ScenarioSpec] = {}
-    if share_hindsight:
-        for key, cell_spec in unique.items():
-            twin = _hindsight_twin(cell_spec)
-            if twin is None:
-                continue
-            twin_key = spec_hash(twin)
-            twin_keys[key] = twin_key
-            twins.setdefault(twin_key, twin)
+    for key, cell_spec in unique.items():
+        twin = _hindsight_twin(cell_spec)
+        if twin is None:
+            continue
+        twin_key = spec_hash(twin)
+        twin_keys[key] = twin_key
+        twins.setdefault(twin_key, twin)
 
     # Store lookup: every unique cell already persisted loads instead of
     # simulating.  ``pairs`` accumulates key -> (result, manifest) from
@@ -471,7 +468,6 @@ def sweep_scenario(
     spec: ScenarioSpec,
     axes: Mapping[str, Sequence[Any]],
     jobs: Optional[int] = None,
-    share_hindsight: bool = True,
     telemetry: Optional[Telemetry] = None,
     store: Optional[Any] = None,
     progress: Optional[Any] = None,
@@ -490,11 +486,9 @@ def sweep_scenario(
     number in every cell, is identical either way: simulations are fully
     seeded and results are reassembled by spec hash into grid order.
 
-    ``share_hindsight`` groups forecast-dispatch cells by their
-    forecast-stripped twin spec and simulates one hindsight twin per group
-    (see the module docstring); ``False`` re-simulates a twin per cell.
-    The results are bitwise-identical — the flag exists for that assertion
-    and for profiling.
+    Forecast-dispatch cells are grouped by their forecast-stripped twin
+    spec and one hindsight twin is simulated per group (see the module
+    docstring); the results are bitwise-identical to a twin per cell.
 
     ``telemetry`` (default: the no-op null) instruments the sweep: per-cell
     run manifests become its children in grid order and dedup/twin-sharing
@@ -543,7 +537,6 @@ def sweep_scenario(
         results = _run_cells(
             specs,
             jobs,
-            share_hindsight=share_hindsight,
             telemetry=tele,
             store=store,
             progress=progress,

@@ -36,10 +36,6 @@ import numpy as np
 
 from repro import units
 
-#: Absolute tolerance (requests/s) for allocation feasibility — matches the
-#: scheduler's own ``_validate_allocation``.
-ALLOC_TOL_RPS = 1e-6
-
 #: SoC bound slack; the ledger guarantees the floor to ~1 ulp.
 SOC_TOL = 1e-9
 
@@ -48,10 +44,6 @@ SOC_TOL = 1e-9
 #: to absorb a few ulps.
 ENERGY_RTOL = 1e-9
 ENERGY_ATOL = 1e-12
-
-#: Threshold (joules) above which a dispatch shortfall counts as a clipped
-#: setpoint — must match the scheduler's ``_clip_accounting``.
-CLIP_TOL_J = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,14 @@ def audit_fleet_run(
     replacement-carbon identities are checked per cohort-day.  They hold
     *exactly* — integer counting for devices, one float product per day
     for carbon — for both the ``device`` and ``bucket`` churn engines.
+
+    Allocation feasibility and clip recounts use the scheduler's own
+    tolerances.  They are imported here, not at module level, so the
+    observatory keeps no import-time dependency on the fleet layer (which
+    itself imports :mod:`repro.telemetry`).
     """
+    from repro.fleet.scheduler import ALLOC_TOL_RPS, CLIP_TOL_J
+
     auditor = _Auditor()
 
     # Allocation feasibility: never negative, never beyond the physical

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.scenarios import (
+    ScenarioRunner,
     ScenarioValidationError,
     parse_sweep_override,
     spec_hash,
@@ -210,20 +211,29 @@ class TestHindsightTwinSharing:
             }
         )
 
+    def _per_cell_runs(self, axes):
+        """Each cell run on its own, paying for its own hindsight twin."""
+        return [
+            ScenarioRunner(
+                self._forecast_spec().with_overrides({name: value})
+            ).run()
+            for name, values in axes.items()
+            for value in values
+        ]
+
     def test_shared_twins_are_bitwise_identical_to_per_cell_twins(self):
         axes = {"forecast.noise_sigma": [0.3, 0.6]}
         shared = sweep_scenario(self._forecast_spec(), axes)
-        per_cell = sweep_scenario(
-            self._forecast_spec(), axes, share_hindsight=False
-        )
-        for ours, theirs in zip(shared.cells, per_cell.cells):
-            assert ours.result.summary_dict() == theirs.result.summary_dict()
+        per_cell = self._per_cell_runs(axes)
+        assert len(shared.cells) == len(per_cell)
+        for ours, theirs in zip(shared.cells, per_cell):
+            assert ours.result.summary_dict() == theirs.summary_dict()
             assert (
                 ours.result.report.hindsight_avoided_g
-                == theirs.result.report.hindsight_avoided_g
+                == theirs.report.hindsight_avoided_g
             )
             assert np.array_equal(
-                ours.result.report.battery_kwh, theirs.result.report.battery_kwh
+                ours.result.report.battery_kwh, theirs.report.battery_kwh
             )
 
     def test_sharing_simulates_fewer_fleets(self):
@@ -247,7 +257,7 @@ class TestHindsightTwinSharing:
             sweep_scenario(self._forecast_spec(), axes)
             with_sharing = counts[-1]
             counts.append(0)
-            sweep_scenario(self._forecast_spec(), axes, share_hindsight=False)
+            self._per_cell_runs(axes)
             without_sharing = counts[-1]
         finally:
             FleetSimulation.run = original

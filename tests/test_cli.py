@@ -427,9 +427,23 @@ def test_store_usage_on_bad_form(capsys, tmp_path):
     assert "usage:" in out and "registered reports:" in out
 
 
-def test_store_flag_rejected_for_figure_targets(capsys):
-    assert main(["run", "fig1", "--store", "somewhere"]) == 2
-    assert "--store only applies to scenario runs" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "flag_args, usage",
+    [
+        (["--set", "duration_days=1"], ""),
+        (["--telemetry", "out.jsonl"], " --telemetry out.jsonl"),
+        (["--store", "somewhere"], " --store DIR"),
+        (["--progress"], " --progress"),
+        (["--audit"], " --audit"),
+    ],
+    ids=["set", "telemetry", "store", "progress", "audit"],
+)
+def test_scenario_only_flags_rejected_for_figure_targets(capsys, flag_args, usage):
+    assert main(["run", "fig1"] + flag_args) == 2
+    assert capsys.readouterr().out == (
+        f"{flag_args[0]} only applies to scenario runs "
+        f"(python -m repro run scenario <name>{usage})\n"
+    )
 
 
 def test_store_show_renders_profile_when_manifest_stored(capsys, tmp_path):
@@ -570,13 +584,6 @@ def test_run_progress_writes_heartbeat_jsonl(capsys, tmp_path):
     assert final["kind"] == "progress"
     assert final["days_done"] == 2 and final["total_days"] == 2
     assert final["fraction"] == 1.0
-
-
-def test_progress_and_audit_rejected_for_figure_targets(capsys):
-    assert main(["run", "fig1", "--progress"]) == 2
-    assert "--progress only applies" in capsys.readouterr().out
-    assert main(["run", "fig1", "--audit"]) == 2
-    assert "--audit only applies" in capsys.readouterr().out
 
 
 def test_bench_record_check_log_round_trip(capsys, tmp_path):
