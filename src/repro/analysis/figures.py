@@ -738,23 +738,20 @@ def fig12_forecast_regret(
     grows, and regret — hindsight-optimal minus realised carbon avoided —
     grows with it.
     """
-    from repro.scenarios import ScenarioRunner
+    from repro.scenarios import PassAGroup, ScenarioRunner
 
     bad = [sigma for sigma in sigmas if sigma < 0]
     if bad:
         raise ValueError(f"noise sigma must be non-negative, got {bad[0]}")
     base = _carbon_buffer_base("forecast-buffer", n_days, n_devices_per_site, seed)
-    # The hindsight baseline is shared across the whole sweep (only forecast
-    # quality varies), so the oracle cell runs once and every other cell
-    # reuses its avoided-carbon figure instead of re-simulating a twin.
-    oracle = ScenarioRunner(base.with_overrides({"forecast.model": "perfect"})).run()
-    hindsight = oracle.carbon_avoided_g
+    # Only forecast quality varies, so every cell shares one Pass A group:
+    # sites, routing and churn run once and each cell replays its dispatch.
+    group = PassAGroup(base)
 
     def run_cell(overrides):
-        return ScenarioRunner(
-            base.with_overrides(overrides), hindsight_avoided_g=hindsight
-        ).run()
+        return ScenarioRunner(base.with_overrides(overrides), group=group).run()
 
+    oracle = run_cell({"forecast.model": "perfect"})
     noisy = {}
     for sigma in sigmas:
         noisy[float(sigma)] = (
@@ -767,8 +764,6 @@ def fig12_forecast_regret(
     return Figure12Data(
         noisy=noisy,
         persistence=run_cell({"forecast.model": "persistence"}),
-        heuristic=ScenarioRunner(
-            base.with_overrides({"forecast.model": "none"})
-        ).run(),
+        heuristic=run_cell({"forecast.model": "none"}),
         n_days=n_days,
     )

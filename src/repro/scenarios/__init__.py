@@ -36,7 +36,12 @@ from repro.scenarios.registry import (
     register_scenario,
     scenario_names,
 )
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner, run_scenario
+from repro.scenarios.runner import (
+    PassAGroup,
+    ScenarioResult,
+    ScenarioRunner,
+    run_scenario,
+)
 from repro.scenarios.sweep import (
     SweepCell,
     SweepResult,
@@ -92,6 +97,7 @@ __all__ = [
     # runner
     "ScenarioRunner",
     "ScenarioResult",
+    "PassAGroup",
     "run_scenario",
     # sweep
     "sweep_scenario",

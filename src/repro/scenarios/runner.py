@@ -186,20 +186,93 @@ class ScenarioResult:
         return result_from_dict(payload)
 
 
+class PassAGroup:
+    """What every cell of one Pass A key shares: sites, Pass A, latency probe.
+
+    A scenario run splits into a *group stage* — :meth:`ScenarioRunner.build_sites`,
+    :meth:`~repro.fleet.scheduler.FleetSimulation.pass_a` (routing and churn)
+    and the DES latency probe — and a *cell stage*: ``pass_b`` under the
+    cell's dispatch, the hindsight replay, pricing and charging savings.
+    The group stage reads only what :meth:`ScenarioSpec.pass_a_key` hashes,
+    and ``pass_b`` mutates neither the record nor the sites, so every cell
+    whose spec has this group's key can run over one group stage, bitwise
+    equal to running alone.
+
+    Each stage runs once, when the first cell asks for it, and records its
+    spans, counters and gauges into that cell's telemetry.  Every later
+    cell gets the stage's counters and gauges replayed into its own
+    telemetry, so a cell's :attr:`ScenarioResult.telemetry` equals a
+    standalone run's.
+    """
+
+    def __init__(self, spec: ScenarioSpec) -> None:
+        self.key = spec.pass_a_key()
+        try:
+            self.policy = policy_by_name(
+                spec.routing.policy, wear_derate=spec.routing.wear_derate
+            )
+        except ValueError as error:
+            raise ScenarioValidationError(f"routing.policy: {error}") from None
+        #: ``stage -> (value, counters, gauges)`` for every stage run so far.
+        self._stages: Dict[str, tuple] = {}
+
+    def _stage(self, name: str, telemetry, compute):
+        """``compute()`` once; afterwards replay what it recorded into ``telemetry``."""
+        if name in self._stages:
+            value, counters, gauges = self._stages[name]
+            for counter, amount in counters.items():
+                telemetry.count(counter, amount)
+            for gauge, reading in gauges.items():
+                telemetry.gauge(gauge, reading)
+            return value
+        counters_before = dict(telemetry.counters)
+        gauges_before = dict(telemetry.gauges)
+        value = compute()
+        counters = {
+            counter: amount - counters_before.get(counter, 0)
+            for counter, amount in telemetry.counters.items()
+            if counter not in counters_before or amount != counters_before[counter]
+        }
+        gauges = {
+            gauge: reading
+            for gauge, reading in telemetry.gauges.items()
+            if gauge not in gauges_before or reading != gauges_before[gauge]
+        }
+        self._stages[name] = (value, counters, gauges)
+        return value
+
+    def sites(self, runner: "ScenarioRunner") -> List[FleetSite]:
+        """The group's sites, built by ``runner`` on first use."""
+        return self._stage("sites", runner.telemetry, runner.build_sites)
+
+    def record(self, simulation: FleetSimulation, n_days: int):
+        """The Pass A record, simulated by ``simulation`` on first use."""
+        return self._stage(
+            "pass_a", simulation.telemetry, lambda: simulation.pass_a(n_days)
+        )
+
+    def latency(
+        self, runner: "ScenarioRunner", sites: List[FleetSite]
+    ) -> Optional[LatencySummary]:
+        """The latency probe over the post-churn ``sites``, run on first use."""
+        return self._stage(
+            "probe", runner.telemetry, lambda: runner._probe_latency(sites, self.policy)
+        )
+
+
 class ScenarioRunner:
     """Builds and runs the fleet experiment a :class:`ScenarioSpec` describes.
 
-    ``hindsight_avoided_g`` optionally injects a precomputed hindsight-optimal
-    carbon-avoided figure for the regret accounting.  The hindsight twin
-    depends only on the fleet/demand/routing/horizon side of the spec — not
-    on the forecast model or its noise — so a sweep varying only forecast
-    quality (e.g. :func:`~repro.analysis.figures.fig12_forecast_regret`) can
-    run the perfect-forecast cell once and share its result instead of
-    re-simulating an identical twin per cell.
+    ``group`` optionally shares a :class:`PassAGroup` across runners whose
+    specs have the same :meth:`~ScenarioSpec.pass_a_key`: sites, Pass A and
+    the latency probe then run once for all of them (a sweep over forecast
+    quality or charging coupling, or
+    :func:`~repro.analysis.figures.fig12_forecast_regret`).  Without one,
+    :meth:`run` is a one-cell group.
 
     ``telemetry`` optionally instruments the run: the runner brackets its
-    stages with spans (``build_sites`` / ``main_run`` / ``hindsight_twin`` /
-    ``economics`` / ``latency_probe`` / ``charging_savings``), the main
+    stages with spans (``build_sites`` / ``main_run`` / ``hindsight_replay``
+    / ``economics`` / ``latency_probe`` / ``charging_savings``), the main
     fleet simulation records its per-day phases and counters into the same
     context, and the result carries a counter snapshot
     (:attr:`ScenarioResult.telemetry`).  Telemetry never perturbs the
@@ -209,11 +282,16 @@ class ScenarioRunner:
     def __init__(
         self,
         spec: ScenarioSpec,
-        hindsight_avoided_g: Optional[float] = None,
         telemetry=None,
+        group: Optional[PassAGroup] = None,
     ) -> None:
+        if group is not None and group.key != spec.pass_a_key():
+            raise ValueError(
+                "the spec's Pass A key differs from the group's: it differs "
+                "in more than forecast, charging, economics or execution"
+            )
         self.spec = spec
-        self.hindsight_avoided_g = hindsight_avoided_g
+        self.group = group
         self.telemetry = ensure_telemetry(telemetry)
         #: The invariant-audit outcome of the last :meth:`run`
         #: (:class:`~repro.telemetry.observatory.audit.AuditReport`), or
@@ -408,7 +486,7 @@ class ScenarioRunner:
         The planner's utilisation estimate follows the scenario's own demand
         level (clipped into the planner's ``(0, 1]`` domain), so a lightly
         loaded fleet plans with the idle headroom it actually has — and the
-        hindsight twin is parameterized identically.
+        hindsight replay is parameterized identically.
         """
         forecast = self.spec.forecast
         demand_fraction = min(
@@ -436,15 +514,10 @@ class ScenarioRunner:
         """Run the scenario end-to-end and return the unified result."""
         spec = self.spec
         tele = self.telemetry
-        try:
-            policy = policy_by_name(
-                spec.routing.policy, wear_derate=spec.routing.wear_derate
-            )
-        except ValueError as error:
-            raise ScenarioValidationError(f"routing.policy: {error}") from None
+        group = self.group if self.group is not None else PassAGroup(spec)
         with tele.span("scenario"):
             with tele.span("build_sites"):
-                sites = self.build_sites()
+                sites = group.sites(self)
             if tele.enabled:
                 tele.gauge("fleet.n_sites", len(sites))
                 tele.gauge(
@@ -460,22 +533,21 @@ class ScenarioRunner:
                 )
             simulation = FleetSimulation(
                 sites,
-                policy,
+                group.policy,
                 self.build_demand(),
                 dispatch=self.build_dispatch(),
                 telemetry=tele,
                 audit=spec.execution.audit,
             )
             with tele.span("main_run"):
-                report = simulation.run(spec.duration_days)
-            # The hindsight twin is never audited: only the main run's
-            # matrices feed the report the user sees.
+                record = group.record(simulation, spec.duration_days)
+                report = simulation.pass_b(record)
             self.last_audit = simulation.audit_report
-            report = self._account_regret(report, policy)
+            report = self._account_regret(report, simulation, record)
             with tele.span("economics"):
                 site_costs = self._price_churn(sites, report)
             with tele.span("latency_probe"):
-                latency = self._probe_latency(sites, policy)
+                latency = group.latency(self, sites)
             with tele.span("charging_savings"):
                 charging_savings = self._charging_savings(sites, report)
         return ScenarioResult(
@@ -493,34 +565,32 @@ class ScenarioRunner:
             ),
         )
 
-    def _account_regret(self, report: FleetReport, policy) -> FleetReport:
+    def _account_regret(
+        self, report: FleetReport, simulation: FleetSimulation, record
+    ) -> FleetReport:
         """Attach the hindsight-optimal counterfactual to a forecast run.
 
-        The hindsight baseline is the same scenario — identical seeds,
-        fleets, demand, and routing — dispatched by the lookahead planner
-        with a *perfect* forecast, so the only difference is forecast skill.
-        A perfect forecast is its own hindsight plan (regret 0 with no
-        second simulation); other models pay one extra fleet run unless the
-        caller injected a precomputed ``hindsight_avoided_g``.
+        The hindsight baseline is the same Pass A record — identical sites,
+        churn, demand and routing — replayed through ``pass_b`` by the
+        lookahead planner with a *perfect* forecast, so the only difference
+        is forecast skill.  A perfect forecast is its own hindsight plan
+        (regret 0 with no replay).
         """
         spec = self.spec
         if spec.charging.coupling != "dispatch" or spec.forecast.model == "none":
             return report
-        if self.hindsight_avoided_g is not None:
-            hindsight_avoided = self.hindsight_avoided_g
-        elif spec.forecast.model == "perfect":
+        if spec.forecast.model == "perfect":
             hindsight_avoided = report.carbon_avoided_g()
         else:
-            # The twin runs un-instrumented (its phases land under the
-            # hindsight_twin span, its counters would pollute the main
-            # run's) — the span prices the stage's total cost.
-            with self.telemetry.span("hindsight_twin"):
+            # The replay is neither instrumented (its counters would pollute
+            # the main run's) nor audited: the span prices the whole replay.
+            with self.telemetry.span("hindsight_replay"):
                 hindsight = FleetSimulation(
-                    self.build_sites(),
-                    policy,
-                    self.build_demand(),
+                    simulation.sites,
+                    simulation.policy,
+                    simulation.demand,
                     dispatch=self._forecast_dispatch(PerfectForecast()),
-                ).run(spec.duration_days)
+                ).pass_b(record)
             hindsight_avoided = hindsight.carbon_avoided_g()
         return dataclasses.replace(report, hindsight_avoided_g=hindsight_avoided)
 

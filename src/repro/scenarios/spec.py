@@ -62,6 +62,11 @@ LOAD_PROFILE_REGISTRY: Dict[str, LoadProfile] = {
 #: Load-profile names resolvable by the runner.
 LOAD_PROFILES = tuple(LOAD_PROFILE_REGISTRY)
 
+#: The spec blocks only Pass B reads (battery dispatch, forecast, pricing,
+#: audit): runs that differ only here share sites, churn trajectory and
+#: latency probe, so :meth:`ScenarioSpec.pass_a_key` leaves them out.
+PASS_B_ONLY_FIELDS = ("forecast", "charging", "economics", "execution")
+
 
 class ScenarioValidationError(ValueError):
     """A scenario spec is malformed; the message names the offending field."""
@@ -506,10 +511,18 @@ class ScenarioSpec:
         observed, never what it computes (bitwise, locked by tests), so an
         audited run keys the same store entry as a plain one.
         """
-        payload = self.to_dict()
-        payload.pop("execution", None)
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _canonical_sha256(self.to_dict(), ("execution",))
+
+    def pass_a_key(self) -> str:
+        """The canonical hash of everything Pass A reads.
+
+        :meth:`sha256` without the :data:`PASS_B_ONLY_FIELDS` blocks.  Specs
+        with equal keys build the same sites, record the same Pass A
+        (routing and churn) and probe the same latency, so a sweep runs
+        those stages once per key (see
+        :class:`~repro.scenarios.runner.PassAGroup`).
+        """
+        return _canonical_sha256(self.to_dict(), PASS_B_ONLY_FIELDS)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -579,6 +592,13 @@ def parse_override(text: str) -> Tuple[str, Any]:
             f"override {text!r} is not of the form dotted.path=value"
         )
     return key, decode_override_value(raw)
+
+
+def _canonical_sha256(payload: Dict[str, Any], dropped: Tuple[str, ...]) -> str:
+    """SHA-256 of ``payload``'s sorted JSON without its top-level ``dropped`` keys."""
+    kept = {key: value for key, value in payload.items() if key not in dropped}
+    canonical = json.dumps(kept, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,22 @@ fleet CCI, dollars per request, operational carbon — per cell.  The CLI's
 ``python -m repro sweep scenario <name> --set routing.policy=a,b
 --set demand.fraction_of_capacity=0.3,0.6`` feeds this directly.
 
-``jobs=N`` fans the grid out over a process pool.  Cells are keyed by their
-spec hash (the SHA-256 of the cell's canonical JSON): identical cells share
-one simulation, worker results are reassembled by key into row-major grid
-order, and — because every simulation is fully seeded — a parallel sweep is
-bitwise-identical to the serial one regardless of completion order.
+Pass A groups: the cells of a sweep that differ only in what Pass B reads
+— forecast model and noise, charging coupling, economics, audit — build the
+same sites, record the same routing and churn (Pass A) and probe the same
+latency.  The sweep groups the cells it has to simulate by
+:meth:`~repro.scenarios.spec.ScenarioSpec.pass_a_key`, runs the group stage
+once per group and replays each cell, and the perfect-forecast hindsight
+baseline a forecast cell's regret needs, through ``pass_b`` alone (see
+:class:`~repro.scenarios.runner.PassAGroup`).  Results are
+bitwise-identical to running every cell on its own.
 
-Hindsight-twin sharing: a forecast-dispatch cell's regret accounting needs a
-perfect-forecast twin simulation, and that twin depends only on the
-forecast-*stripped* spec (fleet, demand, routing, horizon — not the model or
-its noise).  A sweep whose axes vary only forecast quality would therefore
-re-simulate an identical twin per cell; instead the sweep groups cells by
-the hash of their perfect-forecast twin spec, simulates one twin per group
-(reusing a grid cell's own run when the twin *is* a grid cell), and injects
-the shared ``hindsight_avoided_g`` into the rest — bitwise-identical to
-per-cell twins because every simulation is fully seeded.
+``jobs=N`` fans the groups out over a process pool, one group per task.
+Cells are keyed by their spec hash (the SHA-256 of the cell's canonical
+JSON): identical cells share one simulation, results are reassembled by key
+into row-major grid order, and — because every simulation is fully seeded —
+a parallel sweep is bitwise-identical to the serial one regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fleet.scheduler import policy_by_name
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner, run_scenario
+from repro.scenarios.runner import PassAGroup, ScenarioResult, ScenarioRunner
 from repro.scenarios.spec import (
     ScenarioSpec,
     ScenarioValidationError,
@@ -128,149 +129,66 @@ def _cell_manifest(
     )
 
 
-def _run_spec_json(
-    text: str,
-    hindsight_avoided_g: Optional[float] = None,
-    with_telemetry: bool = False,
-) -> Tuple[ScenarioResult, Optional[Dict[str, Any]]]:
-    """Process-pool entry point: rebuild the cell's spec and run it.
+def _run_group(
+    cells: Sequence[Tuple[str, ScenarioSpec]], with_telemetry: bool = False
+) -> Iterator[Tuple[str, ScenarioResult, Optional[Dict[str, Any]]]]:
+    """Run the cells of one Pass A group, yielding each as it finishes.
 
-    Ships the spec as JSON rather than a pickled object so a worker always
+    Every cell's spec must share one :meth:`ScenarioSpec.pass_a_key`: one
+    :class:`~repro.scenarios.runner.PassAGroup` builds the sites, runs
+    Pass A and probes latency for the first cell, and every cell replays
+    its own ``pass_b`` over them.  Yields ``(key, result, manifest)``; the
+    manifest is ``None`` unless ``with_telemetry``, in which case each cell
+    runs under its own child :class:`Telemetry`.
+    """
+    group = PassAGroup(cells[0][1])
+    for key, cell_spec in cells:
+        child = Telemetry() if with_telemetry else None
+        result = ScenarioRunner(cell_spec, telemetry=child, group=group).run()
+        manifest = _cell_manifest(child, cell_spec, key) if with_telemetry else None
+        yield key, result, manifest
+
+
+def _run_group_json(
+    cells: Sequence[Tuple[str, str]], with_telemetry: bool = False
+) -> List[Tuple[str, ScenarioResult, Optional[Dict[str, Any]]]]:
+    """Process-pool entry point: rebuild one group's cell specs and run them.
+
+    Ships specs as JSON rather than pickled objects so a worker always
     re-validates through the same :meth:`ScenarioSpec.from_json` path the
-    CLI and registry use.  ``hindsight_avoided_g`` injects a shared
-    hindsight-twin figure for the regret accounting.  With
-    ``with_telemetry`` the worker instruments its run and ships the cell
-    manifest back for the parent to reassemble (spans stay in the child
-    manifest — a worker's clock is not comparable to the parent's).
+    CLI and registry use.  Spans stay in each cell's manifest — a worker's
+    clock is not comparable to the parent's.
     """
-    spec = ScenarioSpec.from_json(text)
-    telemetry = Telemetry() if with_telemetry else None
-    result = ScenarioRunner(
-        spec, hindsight_avoided_g=hindsight_avoided_g, telemetry=telemetry
-    ).run()
-    manifest = (
-        _cell_manifest(telemetry, spec, spec_hash(spec)) if with_telemetry else None
-    )
-    return result, manifest
+    specs = [(key, ScenarioSpec.from_json(text)) for key, text in cells]
+    return list(_run_group(specs, with_telemetry))
 
 
-#: What a hindsight twin's ``carbon_avoided_g`` does *not* depend on: the
-#: forecast model/noise it replaces, plus the side analyses (DES latency
-#: probe, dollar pricing) whose results the twin run would discard.  The
-#: same canonical form keys twin *reuse*, so a perfect grid cell covers any
-#: twin that matches it after this normalisation.
-_TWIN_CANONICAL_OVERRIDES = {
-    "forecast.model": "perfect",
-    "forecast.noise_sigma": 0.0,
-    "routing.latency_probe_s": 0.0,
-    "economics.enabled": False,
-}
-
-
-def _hindsight_twin(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
-    """The perfect-forecast twin whose run prices ``spec``'s regret.
-
-    ``None`` when the cell needs no twin: no coupled dispatch, no forecast,
-    or a perfect forecast (which is its own hindsight plan).  The twin
-    strips exactly what the hindsight figure ignores — the forecast model
-    and its noise, the latency probe, the economics — and keeps everything
-    it *does* depend on (fleet, demand, routing, horizon, refresh, seed).
-    """
-    if spec.charging.coupling != "dispatch":
-        return None
-    if spec.forecast.model in ("none", "perfect"):
-        return None
-    return spec.with_overrides(_TWIN_CANONICAL_OVERRIDES)
-
-
-def _run_unique(
-    unique: Dict[str, ScenarioSpec],
+def _run_groups(
+    groups: Sequence[Sequence[Tuple[str, ScenarioSpec]]],
     jobs: Optional[int],
-    hindsight: Optional[Dict[str, float]] = None,
     with_telemetry: bool = False,
-    persist: Optional[Any] = None,
-    progress: Optional[Any] = None,
-) -> Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]]:
-    """Run each unique spec once, serially or over a process pool.
+) -> Iterator[Tuple[str, ScenarioResult, Optional[Dict[str, Any]]]]:
+    """Run every Pass A group, serially or one group per pool task.
 
-    Returns ``key -> (result, manifest)`` where the manifest is ``None``
-    unless ``with_telemetry``; the serial path builds the same per-cell
-    child :class:`Telemetry` a pool worker would, so both paths produce
-    identical manifests (modulo wall-clock timings).
-
-    ``persist`` is an optional ``(key, result, manifest)`` callback invoked
-    as each cell's result materialises in *this* process (per completed run
-    serially; as futures are collected in key order under a pool), so a
-    store-backed sweep checkpoints finished cells even when a later cell —
-    or the process itself — dies.
-
-    ``progress`` is an optional
-    :class:`~repro.telemetry.observatory.progress.ProgressReporter`; its
-    ``cell_done`` ticks as each result reaches this process.  Progress
-    observes completions only — it never feeds anything back, so results
-    are bitwise-identical with or without it.
+    Serially, one group's sites and record are held at a time and each
+    cell is yielded the moment it finishes.  Under a pool, groups are
+    collected in submission order and yield their cells together.
     """
-    hindsight = hindsight or {}
-    if jobs is None or jobs == 1 or len(unique) <= 1:
-        out: Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]] = {}
-        for key, cell_spec in unique.items():
-            child = Telemetry() if with_telemetry else None
-            result = ScenarioRunner(
-                cell_spec, hindsight_avoided_g=hindsight.get(key), telemetry=child
-            ).run()
-            manifest = (
-                _cell_manifest(child, cell_spec, key) if with_telemetry else None
-            )
-            if persist is not None:
-                persist(key, result, manifest)
-            if progress is not None:
-                progress.cell_done()
-            out[key] = (result, manifest)
-        return out
-    with ProcessPoolExecutor(max_workers=min(jobs, len(unique))) as pool:
-        futures = {
-            key: pool.submit(
-                _run_spec_json,
-                cell_spec.to_json(),
-                hindsight.get(key),
+    if jobs is None or jobs == 1 or len(groups) <= 1:
+        for cells in groups:
+            yield from _run_group(cells, with_telemetry)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+        futures = [
+            pool.submit(
+                _run_group_json,
+                [(key, cell_spec.to_json()) for key, cell_spec in cells],
                 with_telemetry,
             )
-            for key, cell_spec in unique.items()
-        }
-        out = {}
-        for key, future in futures.items():
-            result, manifest = future.result()
-            if persist is not None:
-                persist(key, result, manifest)
-            if progress is not None:
-                progress.cell_done()
-            out[key] = (result, manifest)
-        return out
-
-
-def _fold_sweep_telemetry(
-    telemetry: Telemetry,
-    keys: Sequence[str],
-    pairs: Mapping[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]],
-    dedicated_twins: Sequence[str] = (),
-) -> None:
-    """Fold per-cell manifests into the sweep's telemetry, in grid order.
-
-    Children (and therefore the folded counter sums) follow the grid's
-    first-occurrence order — never worker completion order — then any
-    dedicated hindsight-twin runs in group order, so a parallel sweep's
-    merged telemetry is identical to the serial one's.
-    """
-    if not telemetry.enabled:
-        return
-    seen: set = set()
-    for key in list(keys) + list(dedicated_twins):
-        if key in seen:
-            continue
-        seen.add(key)
-        manifest = pairs[key][1]
-        if manifest is not None:
-            telemetry.add_child(manifest)
+            for cells in groups
+        ]
+        for future in futures:
+            yield from future.result()
 
 
 def _run_cells(
@@ -282,24 +200,26 @@ def _run_cells(
 ) -> List[ScenarioResult]:
     """Run every cell spec, serially or over a process pool, in grid order.
 
-    Cells are keyed by spec hash either way: cells that hash equal share one
-    simulation, and results are reassembled in grid order, so the serial and
-    parallel paths return identical tables.  Forecast cells that share a
-    forecast-stripped twin run one hindsight simulation per group instead
-    of one per cell — results are bitwise-identical to per-cell twins.
+    Cells are keyed by spec hash: cells that hash equal share one
+    simulation, and results are reassembled in grid order, so the serial
+    and parallel paths return identical tables.  The cells left to simulate
+    are grouped by :meth:`ScenarioSpec.pass_a_key`, and each group builds
+    its sites, runs Pass A and probes latency once (see
+    :class:`~repro.scenarios.runner.PassAGroup`) — bitwise-identical to
+    running every cell alone.
 
-    With an enabled ``telemetry``, each unique simulation is instrumented
-    (workers ship their manifests back), per-cell manifests become the
-    sweep telemetry's children in deterministic grid order, and the
-    dedup/twin-sharing bookkeeping is recorded as ``sweep.*`` counters.
+    With an enabled ``telemetry``, each cell runs under a child
+    :class:`Telemetry` (workers ship their manifests back), per-cell
+    manifests become the sweep telemetry's children in grid order, and the
+    dedup and grouping bookkeeping is recorded as ``sweep.*`` counters.
 
     With a ``store`` (an :class:`~repro.store.ExperimentStore`), cells whose
     spec hash already has an entry are *loaded* instead of simulated, every
-    freshly simulated cell (hindsight twins included) is persisted as soon
-    as its result reaches this process, and the hit/miss/write bookkeeping
-    lands in ``store.*`` counters — because every simulation is fully
-    seeded, a cache-hit sweep is bitwise-identical to a from-scratch one,
-    and a sweep killed mid-grid resumes from the completed cells.
+    freshly simulated cell is persisted as soon as its result reaches this
+    process, and the hit/miss/write bookkeeping lands in ``store.*``
+    counters — because every simulation is fully seeded, a cache-hit sweep
+    is bitwise-identical to a from-scratch one, and a sweep killed mid-grid
+    resumes from the completed cells.
     """
     telemetry = ensure_telemetry(telemetry)
     if jobs is not None and jobs < 1:
@@ -311,19 +231,8 @@ def _run_cells(
     if progress is not None:
         progress.set_total_cells(len(unique))
 
-    twin_keys: Dict[str, str] = {}
-    twins: Dict[str, ScenarioSpec] = {}
-    for key, cell_spec in unique.items():
-        twin = _hindsight_twin(cell_spec)
-        if twin is None:
-            continue
-        twin_key = spec_hash(twin)
-        twin_keys[key] = twin_key
-        twins.setdefault(twin_key, twin)
-
-    # Store lookup: every unique cell already persisted loads instead of
-    # simulating.  ``pairs`` accumulates key -> (result, manifest) from
-    # whatever source — store, phase A, or phase B.
+    # ``pairs`` accumulates key -> (result, manifest) from the store or
+    # from simulation.
     pairs: Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]] = {}
     if store is not None:
         for key in unique:
@@ -332,135 +241,39 @@ def _run_cells(
                 pairs[key] = (entry.result, entry.manifest)
     if progress is not None and pairs:
         progress.cell_done(len(pairs))  # store hits complete instantly
-    pending = {key: spec for key, spec in unique.items() if key not in pairs}
-
-    writes = 0
-
-    def persist(key: str, result: ScenarioResult, manifest) -> None:
-        nonlocal writes
-        if store is not None:
-            store.put(result, manifest=manifest)
-            writes += 1
+    groups: Dict[str, List[Tuple[str, ScenarioSpec]]] = {}
+    for key, cell_spec in unique.items():
+        if key not in pairs:
+            groups.setdefault(cell_spec.pass_a_key(), []).append((key, cell_spec))
 
     if telemetry.enabled:
         telemetry.count("sweep.cells", len(keys))
         telemetry.count("sweep.unique_cells", len(unique))
         telemetry.count("sweep.dedup_hits", len(keys) - len(unique))
-        telemetry.count("sweep.twin_groups", len(twins))
+        telemetry.count("sweep.pass_a_groups", len(groups))
         if store is not None:
             telemetry.count("store.hits", len(pairs))
-            telemetry.count("store.misses", len(pending))
+            telemetry.count("store.misses", len(unique) - len(pairs))
 
-    # Forecast cells loaded from the store carry their hindsight figure
-    # already, so only *pending* forecast cells still need a twin.
-    needed_twin_cells = [key for key in pending if key in twin_keys]
-    if not needed_twin_cells:
-        pairs.update(
-            _run_unique(
-                pending,
-                jobs,
-                with_telemetry=telemetry.enabled,
-                persist=persist,
-                progress=progress,
-            )
-        )
-        if telemetry.enabled and store is not None:
-            telemetry.count("store.writes", writes)
-        _fold_sweep_telemetry(telemetry, keys, pairs)
-        return [pairs[key][0] for key in keys]
-
-    # A perfect-forecast grid cell covers any twin that matches it after
-    # canonical normalisation (sigma/probe/economics stripped — none affect
-    # carbon_avoided_g): map the canonical hash to the cell's key so the
-    # twin reuses its run instead of simulating again.  Cached grid cells
-    # count — their loaded results price twins without any simulation.
-    covered_by: Dict[str, str] = {}
-    for key, cell_spec in unique.items():
-        if key in twin_keys:
-            continue
-        if (
-            cell_spec.charging.coupling == "dispatch"
-            and cell_spec.forecast.model == "perfect"
-        ):
-            canonical = spec_hash(
-                cell_spec.with_overrides(_TWIN_CANONICAL_OVERRIDES)
-            )
-            covered_by.setdefault(canonical, key)
-
-    # Each needed twin resolves, in order of preference, to: a grid cell
-    # covering it, a stored entry from an earlier sweep, or (last resort) a
-    # dedicated phase-A simulation — which is then persisted like any cell.
-    needed_twins = [
-        twin_key
-        for twin_key in twins
-        if twin_key in {twin_keys[key] for key in needed_twin_cells}
-    ]
-    twin_store_hits = 0
-    dedicated_twins = []
-    for twin_key in needed_twins:
-        if twin_key in covered_by:
-            continue
-        entry = store.get_entry_or_none(twin_key) if store is not None else None
-        if entry is not None:
-            pairs[twin_key] = (entry.result, entry.manifest)
-            twin_store_hits += 1
-        else:
-            dedicated_twins.append(twin_key)
-
-    # Phase A: the dedicated twins plus every pending cell that needs no
-    # injection (a twin a grid cell already covers is simulated exactly
-    # once, as that cell).
-    phase_a = {twin_key: twins[twin_key] for twin_key in dedicated_twins}
-    phase_a.update(
-        {key: cell_spec for key, cell_spec in pending.items() if key not in twin_keys}
-    )
-    if progress is not None and dedicated_twins:
-        progress.add_total_cells(len(dedicated_twins))
-    pairs.update(
-        _run_unique(
-            phase_a,
-            jobs,
-            with_telemetry=telemetry.enabled,
-            persist=persist,
-            progress=progress,
-        )
-    )
-    hindsight = {
-        key: pairs[covered_by.get(twin_keys[key], twin_keys[key])][
-            0
-        ].report.carbon_avoided_g()
-        for key in needed_twin_cells
-    }
-
-    # Phase B: the pending forecast cells, each pricing regret against its
-    # group's shared hindsight figure instead of re-simulating the twin.
-    phase_b = {key: pending[key] for key in needed_twin_cells}
-    pairs.update(
-        _run_unique(
-            phase_b,
-            jobs,
-            hindsight=hindsight,
-            with_telemetry=telemetry.enabled,
-            persist=persist,
-            progress=progress,
-        )
-    )
-    if telemetry.enabled:
-        # Twin needs met without a fresh dedicated twin simulation: group
-        # sharing, perfect grid cells whose own runs double as twins, and
-        # twins loaded back from the store.
-        telemetry.count(
-            "sweep.twin_cache_hits", len(needed_twin_cells) - len(dedicated_twins)
-        )
+    writes = 0
+    for key, result, manifest in _run_groups(
+        list(groups.values()), jobs, with_telemetry=telemetry.enabled
+    ):
         if store is not None:
-            telemetry.count("store.twin_hits", twin_store_hits)
+            store.put(result, manifest=manifest)
+            writes += 1
+        if progress is not None:
+            progress.cell_done()
+        pairs[key] = (result, manifest)
+    if telemetry.enabled:
+        if store is not None:
             telemetry.count("store.writes", writes)
-    _fold_sweep_telemetry(
-        telemetry,
-        keys,
-        pairs,
-        dedicated_twins=[t for t in needed_twins if t in pairs and t not in keys],
-    )
+        # Children fold in grid order, never completion order, so a
+        # parallel sweep's merged counters equal the serial sweep's.
+        for key in unique:
+            manifest = pairs[key][1]
+            if manifest is not None:
+                telemetry.add_child(manifest)
     return [pairs[key][0] for key in keys]
 
 
@@ -486,12 +299,12 @@ def sweep_scenario(
     number in every cell, is identical either way: simulations are fully
     seeded and results are reassembled by spec hash into grid order.
 
-    Forecast-dispatch cells are grouped by their forecast-stripped twin
-    spec and one hindsight twin is simulated per group (see the module
-    docstring); the results are bitwise-identical to a twin per cell.
+    Cells that share a Pass A key build sites, run Pass A and probe
+    latency once per group (see the module docstring); the results are
+    bitwise-identical to running each cell alone.
 
     ``telemetry`` (default: the no-op null) instruments the sweep: per-cell
-    run manifests become its children in grid order and dedup/twin-sharing
+    run manifests become its children in grid order and dedup and grouping
     bookkeeping lands in ``sweep.*`` counters.  Telemetry never feeds back
     into the simulations, so an instrumented sweep's numbers are
     bitwise-identical to an uninstrumented one's.
@@ -505,8 +318,7 @@ def sweep_scenario(
 
     ``progress`` (a
     :class:`~repro.telemetry.observatory.progress.ProgressReporter`) emits
-    live heartbeats as cells complete — store hits tick immediately,
-    dedicated hindsight twins extend the total when they are discovered.
+    live heartbeats as cells complete — store hits tick immediately.
     Progress observes; it never feeds back, so results are identical with
     or without it.
     """

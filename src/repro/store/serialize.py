@@ -1,10 +1,9 @@
 """Exact JSON round-trip for :class:`~repro.scenarios.runner.ScenarioResult`.
 
 The durable experiment store promises that a result loaded from disk is
-*bitwise-identical* to the freshly simulated one, so every simulation
-downstream of a cache hit (regret accounting off a stored hindsight twin,
-report tables, figure builders) sees exactly the numbers it would have
-computed itself.  Two facts make that possible with plain JSON:
+*bitwise-identical* to the freshly simulated one, so everything downstream
+of a cache hit (report tables, figure builders) sees exactly the numbers it
+would have computed itself.  Two facts make that possible with plain JSON:
 
 * Python's ``float`` repr is the shortest string that round-trips, and
   ``json`` uses it — so every float64 survives dump/load exactly.

@@ -66,9 +66,6 @@ class ProgressReporter:
     def set_total_cells(self, total: int) -> None:
         self.total_cells = total
 
-    def add_total_cells(self, extra: int) -> None:
-        self.total_cells = (self.total_cells or 0) + extra
-
     def day_done(self, days: int = 1) -> None:
         self.days_done += days
         self.emit()
@@ -167,11 +164,11 @@ class ProgressReporter:
 class ProgressTelemetry(Telemetry):
     """A Telemetry that feeds a :class:`ProgressReporter` from completions.
 
-    Every ``step_population`` span that completes outside the hindsight
-    twin is one simulated day (``calls`` days for batched spans), and the
-    ``fleet.n_devices`` gauge carries the fleet size for the throughput
-    figure.  The hooks run strictly *after* the parent class recorded the
-    span/gauge, on data already collected — the simulation sees the exact
+    Every ``step_population`` span that completes is one simulated day
+    (``calls`` days for batched spans), and the ``fleet.n_devices`` gauge
+    carries the fleet size for the throughput figure.  The hooks run
+    strictly *after* the parent class recorded the span/gauge, on data
+    already collected — the simulation sees the exact
     same telemetry object surface, so results are bitwise-identical with
     or without the reporter (locked by
     ``tests/scenarios/test_observatory_scenarios.py``).

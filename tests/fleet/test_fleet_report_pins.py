@@ -11,7 +11,7 @@ invariant audit on and telemetry on, and hashes two things separately:
 
 The matrix covers every preset on both churn samplers plus the replay
 shapes a single preset does not reach: the per-day forecast replay with
-its hindsight twin, mixed-pack sites under dispatch (capacity-weighted
+its hindsight replay, mixed-pack sites under dispatch (capacity-weighted
 SoC), wear-derated routing under dispatch, the two non-dispatch couplings,
 and a raised failure rate so that churn moves device counts within four
 days.  A change that claims bitwise-identical fleet results must keep
@@ -116,7 +116,7 @@ PINNED = {
     ),
     "forecast-buffer-noisy": (
         "1fb8dd30deca82d7208d5148dcd6378bfedbc7ba7151a96138f11a340fea3f01",
-        "d0ec6712611bb010ea0d8e6123cf2174db4a8b1acfd4ddcf56d963267910c65b",
+        "3036eb7f00d41fedbe1d96af50cfa8a4e945198e49bb1d2690166cb915126fed",
     ),
     "heterogeneous-cohorts-bucket": (
         "354bc86260d6fec646f5f846dd6b92896c9650fb378033907accbd04c6cdb5fa",

@@ -106,7 +106,7 @@ class TestForecastRunner:
             assert result.regret_g >= 0.0
 
     def test_hindsight_matches_the_perfect_run(self, results):
-        """The regret twin is the perfect-forecast run of the same scenario."""
+        """The regret baseline is the perfect-forecast run of the same scenario."""
         assert results["noisy"].hindsight_carbon_avoided_g == pytest.approx(
             results["perfect"].carbon_avoided_g
         )

@@ -1,5 +1,7 @@
 """Cartesian scenario sweeps: grid expansion, parsing, and tabulation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -193,11 +195,40 @@ class TestParseSweepOverride:
             parse_sweep_override("routing.policy")
 
 
-class TestHindsightTwinSharing:
-    """Forecast cells sharing one hindsight twin per forecast-stripped group."""
+def _count_group_stages(monkeypatch):
+    """Count site builds, Pass A runs and latency probes in this process."""
+    from repro.fleet.scheduler import FleetSimulation
+    from repro.scenarios import runner
+
+    counts = {"build_sites": 0, "pass_a": 0, "probe": 0}
+
+    def counted(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(runner.ScenarioRunner, "build_sites", "build_sites")
+    counted(FleetSimulation, "pass_a", "pass_a")
+    counted(runner, "simulate_latency_aware", "probe")
+    return counts
+
+
+class TestPassAGroups:
+    """Cells sharing a Pass A key build sites, run Pass A and probe once."""
+
+    #: The perfbench-shaped grid: forecast noise varies inside a group,
+    #: demand level splits the grid into two groups.
+    GRID = {
+        "forecast.noise_sigma": [0.1, 0.2, 0.3, 0.4],
+        "demand.fraction_of_capacity": [0.3, 0.5],
+    }
 
     @staticmethod
-    def _forecast_spec():
+    def _forecast_spec(probe_s=0.0):
         from repro.scenarios import get_scenario
 
         return get_scenario("forecast-buffer").with_overrides(
@@ -205,26 +236,24 @@ class TestHindsightTwinSharing:
                 "duration_days": 2,
                 "sites.0.devices.count": 10,
                 "sites.1.devices.count": 10,
-                "routing.latency_probe_s": 0,
+                "routing.latency_probe_s": probe_s,
                 "forecast.model": "noisy",
                 "forecast.noise_sigma": 0.3,
             }
         )
 
-    def _per_cell_runs(self, axes):
-        """Each cell run on its own, paying for its own hindsight twin."""
+    def _per_cell_runs(self, spec, axes):
+        """Each cell run on its own, as a one-cell group, in grid order."""
         return [
-            ScenarioRunner(
-                self._forecast_spec().with_overrides({name: value})
-            ).run()
-            for name, values in axes.items()
-            for value in values
+            ScenarioRunner(spec.with_overrides(dict(zip(axes, combo)))).run()
+            for combo in itertools.product(*axes.values())
         ]
 
-    def test_shared_twins_are_bitwise_identical_to_per_cell_twins(self):
+    def test_grouped_cells_are_bitwise_identical_to_per_cell_runs(self):
         axes = {"forecast.noise_sigma": [0.3, 0.6]}
-        shared = sweep_scenario(self._forecast_spec(), axes)
-        per_cell = self._per_cell_runs(axes)
+        spec = self._forecast_spec()
+        shared = sweep_scenario(spec, axes)
+        per_cell = self._per_cell_runs(spec, axes)
         assert len(shared.cells) == len(per_cell)
         for ours, theirs in zip(shared.cells, per_cell):
             assert ours.result.summary_dict() == theirs.summary_dict()
@@ -236,59 +265,49 @@ class TestHindsightTwinSharing:
                 ours.result.report.battery_kwh, theirs.report.battery_kwh
             )
 
-    def test_sharing_simulates_fewer_fleets(self):
-        """One twin per group instead of one per cell."""
-        from repro.fleet.scheduler import FleetSimulation
+    def test_grid_runs_one_group_stage_per_pass_a_key(self, monkeypatch):
+        """A 4 x 2 sigma x demand grid: 2 site builds, 2 Pass As, 2 probes."""
+        counts = _count_group_stages(monkeypatch)
+        sweep = sweep_scenario(self._forecast_spec(probe_s=0.2), self.GRID)
+        assert len(sweep.cells) == 8
+        assert counts == {"build_sites": 2, "pass_a": 2, "probe": 2}
 
-        counts = []
+    def test_parallel_grouped_sweep_equals_serial_and_per_cell(self):
+        spec = self._forecast_spec(probe_s=0.2)
+        serial = sweep_scenario(spec, self.GRID)
+        parallel = sweep_scenario(spec, self.GRID, jobs=2)
+        from repro.store.serialize import result_to_dict
 
-        def counted(run):
-            def wrapper(self, n_days):
-                counts[-1] += 1
-                return run(self, n_days)
+        for ours, theirs, alone in zip(
+            serial.cells,
+            parallel.cells,
+            self._per_cell_runs(spec, self.GRID),
+        ):
+            assert ours.overrides == theirs.overrides
+            assert result_to_dict(ours.result) == result_to_dict(theirs.result)
+            assert result_to_dict(ours.result) == result_to_dict(alone)
 
-            return wrapper
-
-        original = FleetSimulation.run
-        FleetSimulation.run = counted(original)
-        try:
-            axes = {"forecast.noise_sigma": [0.3, 0.6]}
-            counts.append(0)
-            sweep_scenario(self._forecast_spec(), axes)
-            with_sharing = counts[-1]
-            counts.append(0)
-            self._per_cell_runs(axes)
-            without_sharing = counts[-1]
-        finally:
-            FleetSimulation.run = original
-        # Sharing: one perfect twin + one main run per cell = 3.
-        # Per-cell: each of the two cells pays main + its own twin = 4.
-        assert with_sharing == 3
-        assert without_sharing == 4
-
-    def test_twin_reuses_a_grid_cell_when_it_is_one(self):
-        """A grid that contains the perfect cell needs no extra twin run."""
-        from repro.fleet.scheduler import FleetSimulation
-
-        counts = {"n": 0}
-        original = FleetSimulation.run
-
-        def wrapper(self, n_days):
-            counts["n"] += 1
-            return original(self, n_days)
-
-        FleetSimulation.run = wrapper
-        try:
-            sweep = sweep_scenario(
-                self._forecast_spec(),
-                {"forecast.model": ["perfect", "noisy"]},
-            )
-        finally:
-            FleetSimulation.run = original
-        # perfect cell (its own hindsight, 1 run) doubles as the noisy
-        # cell's twin; the noisy cell adds one more run.
-        assert counts["n"] == 2
-        perfect, noisy = sweep.cells
-        assert noisy.result.report.hindsight_avoided_g == pytest.approx(
-            perfect.result.report.carbon_avoided_g()
+    def test_a_group_spans_forecast_models(self, monkeypatch):
+        """Perfect and noisy cells share a group; the noisy cell's hindsight
+        replay is bitwise the perfect cell's realised figure."""
+        counts = _count_group_stages(monkeypatch)
+        sweep = sweep_scenario(
+            self._forecast_spec(),
+            {"forecast.model": ["perfect", "noisy"]},
         )
+        assert counts["build_sites"] == 1
+        assert counts["pass_a"] == 1
+        perfect, noisy = sweep.cells
+        assert (
+            noisy.result.report.hindsight_avoided_g
+            == perfect.result.report.carbon_avoided_g()
+        )
+
+    def test_runner_rejects_a_group_of_another_key(self):
+        from repro.scenarios import PassAGroup
+
+        spec = self._forecast_spec()
+        group = PassAGroup(spec)
+        ScenarioRunner(spec.with_overrides({"forecast.noise_sigma": 0.9}), group=group)
+        with pytest.raises(ValueError, match="Pass A key"):
+            ScenarioRunner(spec.with_overrides({"seed": 5}), group=group)

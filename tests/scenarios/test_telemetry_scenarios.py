@@ -110,17 +110,32 @@ def test_sweep_counters_identical_serial_vs_parallel():
         assert ours.usd_per_request == theirs.usd_per_request
 
 
-def test_sweep_counts_twin_sharing():
+def test_sweep_counts_pass_a_groups():
     spec = _fast_spec("forecast-buffer").with_overrides(
-        {"forecast.model": "persistence"}
+        {"forecast.model": "noisy"}
     )
+    axes = {
+        "forecast.noise_sigma": [0.1, 0.3],
+        "demand.fraction_of_capacity": [0.3, 0.5],
+    }
     tele = Telemetry()
-    sweep_scenario(spec, {"forecast.noise_sigma": [0.1, 0.3]}, telemetry=tele)
-    # Two noisy cells share one forecast-stripped hindsight twin: one twin
-    # group, one dedicated twin simulation, one cache hit.
-    assert tele.counters["sweep.twin_groups"] == 1
-    assert tele.counters["sweep.twin_cache_hits"] == 1
-    assert len(tele.children) == 3  # 2 grid cells + 1 dedicated twin
+    sweep = sweep_scenario(spec, axes, telemetry=tele)
+    # Noise varies inside a group, demand splits the grid into two.
+    assert tele.counters["sweep.cells"] == 4
+    assert tele.counters["sweep.pass_a_groups"] == 2
+    assert len(tele.children) == 4  # one manifest per cell, nothing else
+    assert not any("twin" in name for name in tele.counters)
+    # Every cell's counters and gauges equal a standalone instrumented run's,
+    # Pass A's replayed into the cells that did not run it.
+    for cell, child in zip(sweep.cells, tele.children):
+        alone = ScenarioRunner(cell.result.spec, telemetry=Telemetry()).run()
+        assert cell.result.telemetry == alone.telemetry
+        assert child["counters"] == {
+            name: value
+            for name, value in alone.telemetry.items()
+            if name in child["counters"]
+        }
+        assert "routing.waterfill_segments_touched" in child["counters"]
 
 
 def test_clipped_setpoint_counter_matches_report():

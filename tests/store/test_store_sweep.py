@@ -19,8 +19,8 @@ from repro.telemetry import Telemetry
 
 FAST = {"duration_days": 2, "routing.latency_probe_s": 0.0}
 
-#: A 4-cell grid with twin structure: the perfect cells double as the noisy
-#: cells' hindsight twins, so the sweep exercises every store code path.
+#: A 4-cell grid of one Pass A group: perfect and noisy cells replay one
+#: Pass A, so a store hit and a simulated cell can share a group.
 FORECAST_AXES = {
     "forecast.model": ["perfect", "noisy"],
     "forecast.noise_sigma": [0.1, 0.3],
@@ -86,7 +86,9 @@ def test_second_pass_simulates_zero_cells(tmp_path, monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
-def test_second_pass_with_twins_simulates_zero_cells(tmp_path, monkeypatch, jobs):
+def test_second_pass_of_a_forecast_grid_simulates_zero_cells(
+    tmp_path, monkeypatch, jobs
+):
     spec = _spec("forecast-buffer")
     store = ExperimentStore(str(tmp_path / "es"))
     first = sweep_scenario(spec, FORECAST_AXES, jobs=jobs, store=store)
@@ -168,26 +170,42 @@ def test_interrupted_parallel_sweep_resumes_bitwise_identical(tmp_path):
     _assert_sweeps_identical(reference, resumed)
 
 
-def test_stored_twin_is_reused_without_simulation(tmp_path, monkeypatch):
-    """A hindsight twin persisted by one sweep prices later sweeps' regret."""
+def test_half_stored_group_simulates_only_pending_cells(tmp_path, monkeypatch):
+    """A resumed group runs Pass A once for its pending cells only."""
+    from repro.fleet.scheduler import FleetSimulation
+
     spec = _spec("forecast-buffer")
     store = ExperimentStore(str(tmp_path / "es"))
-    noisy_axes = {"forecast.model": ["noisy"], "forecast.noise_sigma": [0.1]}
-    sweep_scenario(spec, noisy_axes, store=store)
-    assert len(store) == 2  # the noisy cell plus its dedicated twin
-
-    # A different sigma needs the same twin: it must load, not re-simulate.
-    calls = _count_runs(monkeypatch)
-    telemetry = Telemetry()
+    # Instrumented throughout, so every stored and fresh result carries the
+    # telemetry snapshot the reference's cells do.
     sweep_scenario(
         spec,
-        {"forecast.model": ["noisy"], "forecast.noise_sigma": [0.2]},
-        telemetry=telemetry,
+        {"forecast.model": ["noisy"], "forecast.noise_sigma": [0.1]},
+        telemetry=Telemetry(),
         store=store,
     )
-    assert telemetry.counters["store.twin_hits"] == 1
-    assert len(calls) == 1  # only the new noisy cell simulated
+    assert len(store) == 1  # the noisy cell alone: no twin entries
+
+    calls = _count_runs(monkeypatch)
+    pass_a = []
+    original = FleetSimulation.pass_a
+
+    def counted(self, n_days):
+        pass_a.append(n_days)
+        return original(self, n_days)
+
+    monkeypatch.setattr(FleetSimulation, "pass_a", counted)
+    telemetry = Telemetry()
+    axes = {"forecast.model": ["noisy"], "forecast.noise_sigma": [0.1, 0.2, 0.3]}
+    resumed = sweep_scenario(spec, axes, telemetry=telemetry, store=store)
+    assert telemetry.counters["store.hits"] == 1
+    assert telemetry.counters["sweep.pass_a_groups"] == 1
+    assert len(calls) == 2  # only the two pending cells simulated
+    assert len(pass_a) == 1  # over one Pass A
     assert len(store) == 3
+    monkeypatch.undo()
+    reference = sweep_scenario(spec, axes, telemetry=Telemetry())
+    _assert_sweeps_identical(reference, resumed)
 
 
 def test_store_counters_absent_without_a_store(tmp_path):
